@@ -1,18 +1,8 @@
-//! Harness-side profiling plumbing: provenance stamps for exported
-//! measurement artifacts, and the wall-clock workload timer behind
-//! `bench_baseline`.
-//!
-//! This file (like `baseline.rs` and `simprof.rs`) is on simlint's D2
-//! wall-clock allowlist: the harness layer may read real time, the
-//! simulation crates never do.
-
-use std::time::Instant;
+//! Provenance stamps for exported measurement artifacts.
 
 use telemetry::{Profile, Registry};
 
-use crate::plan::{PlanOutput, RunPlan};
 use crate::runner::Args;
-use crate::simprof;
 
 /// Provenance of one measurement artifact: the facts `benchcmp` needs to
 /// refuse (or warn about) apples-to-oranges comparisons — a quick-scale
@@ -21,17 +11,15 @@ use crate::simprof;
 pub struct Provenance {
     /// Cores the host offers.
     pub cores: usize,
-    /// Worker count — the literal `"any"` for deterministic artifacts
-    /// (metrics/profile exports are byte-identical under every `--jobs`
-    /// value, and CI compares them across worker counts), or the actual
-    /// count for wall-clock reports.
+    /// Worker count — the literal `"any"`: metrics/profile exports are
+    /// byte-identical under every `--jobs` value, and CI compares them
+    /// across worker counts.
     pub jobs: String,
     /// Scale label (`quick` / `default` / `full`).
     pub scale: &'static str,
     /// Seeds per scheme.
     pub seeds: u64,
-    /// `release` or `debug` — wall-clock numbers from a debug build are
-    /// not comparable to release numbers.
+    /// `release` or `debug`: the build that wrote the artifact.
     pub build_profile: &'static str,
 }
 
@@ -90,23 +78,6 @@ pub fn scale_label(args: &Args) -> &'static str {
     } else {
         "default"
     }
-}
-
-/// Measurements of one workload plan at one worker count.
-pub(crate) struct Timed {
-    pub wall_ms: f64,
-    pub out: PlanOutput,
-}
-
-/// Runs a plan under a wall-clock (and, with `--features simprof`,
-/// scope-profiled) measurement.
-pub(crate) fn timed(label: &str, plan: RunPlan<'_>) -> Timed {
-    let mut prof = simprof::scope(label.to_string());
-    let start = Instant::now();
-    let out = plan.run_detailed();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    prof.add_events(out.events_scheduled);
-    Timed { wall_ms, out }
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 //! End-to-end tests for the harness binaries' error paths and exit codes:
 //! `trace_inspect --metrics` must fail loudly (exit 2, positional
 //! diagnostic) on malformed or truncated registry exports, and `benchcmp`
-//! must diff two reports, refuse provenance mismatches without `--force`,
-//! and gate regressions only under `--fail-on-regression`.
+//! must diff two exports and refuse provenance mismatches without `--force`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -142,60 +141,44 @@ fn trace_inspect_rejects_malformed_spans_with_diagnostic() {
     }
 }
 
-fn bench_report(wall_ms: f64, build_profile: &str) -> String {
-    format!(
-        "{{\n  \"schema\": \"tlt-bench-baseline/v1\",\n  \"generated_by\": \"bench_baseline\",\n\
-         \x20 \"cores\": 8,\n  \"jobs\": 8,\n  \"scale\": \"quick\",\n  \"seeds\": 3,\n\
-         \x20 \"build_profile\": \"{build_profile}\",\n\
-         \x20 \"workloads\": [\n    {{\"name\": \"incast_micro\", \"wall_ms_jobs1\": {wall_ms:.3}, \
-         \"wall_ms_jobsn\": {:.3}, \"speedup\": 2.0, \"events_scheduled\": 1000}}\n  ],\n\
-         \x20 \"total\": {{\"wall_ms_jobs1\": {wall_ms:.3}}}\n}}\n",
-        wall_ms / 2.0
-    )
+/// A `tlt-metrics/v1` export with one counter value and provenance stamps.
+fn metrics_report(pkts: u64, build_profile: &str) -> String {
+    let mut reg = telemetry::Registry::new();
+    reg.inc("data_pkts_sent", pkts);
+    reg.gauge_max("queue_peak_bytes", 9000);
+    reg.observe("fct_us", 250);
+    reg.set_meta("scale", "quick");
+    reg.set_meta("build_profile", build_profile);
+    reg.to_json()
 }
 
 #[test]
-fn benchcmp_diffs_grades_and_refuses() {
+fn benchcmp_diffs_and_refuses() {
     let bin = env!("CARGO_BIN_EXE_benchcmp");
-    let old = tmp("cmp-old.json", &bench_report(100.0, "release"));
-    let slower = tmp("cmp-slow.json", &bench_report(150.0, "release"));
-    let debug = tmp("cmp-debug.json", &bench_report(100.0, "debug"));
-    let (old_p, slower_p, debug_p) = (
+    let old = tmp("cmp-old.json", &metrics_report(100, "release"));
+    let more = tmp("cmp-more.json", &metrics_report(150, "release"));
+    let debug = tmp("cmp-debug.json", &metrics_report(100, "debug"));
+    let (old_p, more_p, debug_p) = (
         old.to_str().unwrap(),
-        slower.to_str().unwrap(),
+        more.to_str().unwrap(),
         debug.to_str().unwrap(),
     );
 
-    // Same file against itself: clean table, exit 0.
+    // Same file against itself: nothing changed, exit 0.
     let out = run(bin, &[old_p, old_p]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-    assert!(stdout(&out).contains("0 regression(s)"));
+    assert!(stdout(&out).contains("5 keys compared, 0 changed"));
 
-    // +50% wall time: reported as a regression, but informational by default.
-    let out = run(bin, &["--threshold-pct", "10", old_p, slower_p]);
+    // A changed counter shows up as a row; the diff is informational.
+    let out = run(bin, &[old_p, more_p]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-    assert!(stdout(&out).contains("REGRESSION"));
-
-    // ... and a gate with --fail-on-regression.
-    let out = run(
-        bin,
-        &[
-            "--threshold-pct",
-            "10",
-            "--fail-on-regression",
-            old_p,
-            slower_p,
-        ],
-    );
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
-
-    // --json output carries the machine-readable verdict.
-    let out = run(bin, &["--threshold-pct", "10", "--json", old_p, slower_p]);
-    assert_eq!(out.status.code(), Some(0));
-    let js = stdout(&out);
-    assert!(js.contains("\"schema\": \"tlt-benchcmp/v1\""));
-    // All three wall_ms keys (workload jobs1/jobsN and the total) moved +50%.
-    assert!(js.contains("\"regressions\": 3"), "json: {js}");
+    let table = stdout(&out);
+    let row = table
+        .lines()
+        .find(|l| l.starts_with("counter/data_pkts_sent"))
+        .unwrap_or_else(|| panic!("no row for the changed counter: {table}"));
+    assert!(row.contains("100.000") && row.contains("150.000") && row.contains("+50.0%"));
+    assert!(table.contains("1 changed"), "{table}");
 
     // debug-vs-release provenance: refuse without --force, warn with it.
     let out = run(bin, &[old_p, debug_p]);
@@ -204,15 +187,34 @@ fn benchcmp_diffs_grades_and_refuses() {
     let out = run(bin, &["--force", old_p, debug_p]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
 
-    // Malformed input and bad usage both exit 2.
+    // Malformed input (with the parser's positional diagnostic) and bad
+    // usage both exit 2.
     let bad = tmp("cmp-bad.json", "{\"schema\": ");
     let out = run(bin, &[old_p, bad.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("byte"), "{}", stderr(&out));
     let out = run(bin, &[old_p]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("usage:"));
+    let out = run(bin, &["--no-such-flag", old_p, more_p]);
+    assert_eq!(out.status.code(), Some(2));
 
-    for p in [old, slower, debug, bad] {
+    // A key holding a quote and a backslash is escaped in --json output.
+    let mut reg = telemetry::Registry::new();
+    reg.inc("q\"uo\\te", 1);
+    let q1 = tmp("cmp-q1.json", &reg.to_json());
+    reg.inc("q\"uo\\te", 1);
+    let q2 = tmp("cmp-q2.json", &reg.to_json());
+    let out = run(bin, &["--json", q1.to_str().unwrap(), q2.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let js = stdout(&out);
+    assert!(js.contains("\"schema\": \"tlt-benchcmp/v1\""), "json: {js}");
+    assert!(
+        js.contains(r#"{"key": "counter/q\"uo\\te", "old": 1, "new": 2, "pct": 100.0000}"#),
+        "json: {js}"
+    );
+
+    for p in [old, more, debug, bad, q1, q2] {
         let _ = std::fs::remove_file(p);
     }
 }

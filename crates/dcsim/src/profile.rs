@@ -2,7 +2,7 @@
 //!
 //! Compiled in only under the `profile` cargo feature — the same zero-cost
 //! discipline as `strict-invariants` — and collected unconditionally while
-//! enabled, so a profiling build of `bench_baseline` needs no extra flags.
+//! enabled, so a profiling build of any bench binary needs no extra flags.
 //!
 //! The profiler answers the question ROADMAP items 1–2 keep asking: where
 //! do the engine's millions of events per second actually go? It tracks,
@@ -18,7 +18,7 @@
 //!   scheduled. Wall-clock per event would break the determinism contract
 //!   (and simlint D2); fan-out is the deterministic cost proxy that
 //!   correlates with handler work, and the wall side lives in
-//!   `bench::simprof` where clocks are allowed.
+//!   `perfbench/`, outside the simulation, where clocks are allowed.
 //! * **per-component tallies** (switch / link / transport / timer / fault /
 //!   sampler), splitting `Deliver` by where the frame landed — the per-LP
 //!   accounting a conservative-PDES shard split will need.

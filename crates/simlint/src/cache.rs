@@ -23,7 +23,7 @@ use crate::json::{self, Value};
 
 /// Bumped whenever rule or extraction semantics change, invalidating all
 /// prior entries (the content hash only covers the *input* file).
-pub const RULES_VERSION: u64 = 2;
+pub const RULES_VERSION: u64 = 3;
 
 /// 64-bit FNV-1a over the file's bytes.
 pub fn content_hash(src: &str) -> u64 {

@@ -150,33 +150,34 @@ fn d2_does_not_fire_on_identifier_substrings() {
 }
 
 #[test]
-fn d2_bench_flags_wallclock_outside_sanctioned_modules() {
+fn d2_bench_flags_wallclock_in_every_source_file() {
     let f = lint(&[(
         "crates/bench/src/runner.rs",
         "fn t() { let w = std::time::Instant::now(); }\n\
          fn u() { let e = std::time::SystemTime::now(); }\n",
     )]);
     assert_eq!(rules(&f), ["D2", "D2"]);
-    assert!(f[0].msg.contains("bench::simprof"), "{}", f[0].msg);
+    assert!(f[0].msg.contains("perfbench"), "{}", f[0].msg);
 
-    // baseline.rs lost its sanction when its timer moved into profiler.rs;
-    // a wall-clock read reappearing there must be flagged again.
+    // No bench source file is sanctioned, provenance stamping included.
     let f = lint(&[(
-        "crates/bench/src/baseline.rs",
+        "crates/bench/src/profiler.rs",
         "fn t() { let w = std::time::Instant::now(); }\n",
     )]);
     assert_eq!(rules(&f), ["D2"]);
 }
 
 #[test]
-fn d2_bench_allows_simprof_profiler_env_and_tests() {
+fn d2_bench_allows_tests_env_and_pragmas() {
     let wallclock = "fn t() { let w = std::time::Instant::now(); }\n";
     let f = lint(&[
-        // The sanctioned harness timing modules.
-        ("crates/bench/src/simprof.rs", wallclock),
-        ("crates/bench/src/profiler.rs", wallclock),
-        // Micro-benches are a test-only location.
+        // Test locations may time themselves.
         ("crates/bench/benches/micro.rs", wallclock),
+        ("crates/bench/tests/cli.rs", wallclock),
+        (
+            "crates/bench/src/plan.rs",
+            "#[cfg(test)]\nmod tests {\n    fn t() { let w = std::time::Instant::now(); }\n}\n",
+        ),
         // env/thread reads stay legal in the harness (CLI + worker pool).
         (
             "crates/bench/src/runner.rs",
@@ -185,12 +186,12 @@ fn d2_bench_allows_simprof_profiler_env_and_tests() {
         ),
         // Pragmas suppress the bench extension like everywhere else.
         (
-            "crates/bench/src/plan.rs",
+            "crates/bench/src/profiler.rs",
             "// simlint: allow(wallclock, progress display only)\n\
              fn eta() { let w = std::time::Instant::now(); }\n",
         ),
     ]);
-    assert!(f.is_empty(), "sanctioned harness timing sites pass: {f:?}");
+    assert!(f.is_empty(), "test locations and pragmas pass: {f:?}");
 }
 
 // ---------------------------------------------------------------- D3

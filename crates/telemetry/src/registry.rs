@@ -618,7 +618,9 @@ pub(crate) fn push_string_map(s: &mut String, map: &BTreeMap<String, String>) {
     }
 }
 
-pub(crate) fn push_json_string(s: &mut String, v: &str) {
+/// Appends `v` as a JSON string literal, escaping `"`, `\` and control
+/// characters — the one escaper every artifact writer shares.
+pub fn push_json_string(s: &mut String, v: &str) {
     s.push('"');
     for c in v.chars() {
         match c {
@@ -654,16 +656,15 @@ impl<'a> Parser<'a> {
     }
 
     fn fail<T>(&self, what: &str) -> Result<T, String> {
-        let end = (self.i + 24).min(self.bytes.len());
-        let near = String::from_utf8_lossy(&self.bytes[self.i..end]);
-        if self.i >= self.bytes.len() {
-            Err(format!(
-                "{what} at byte {} (unexpected end of input)",
-                self.i
-            ))
-        } else {
-            Err(format!("{what} at byte {} (near {near:?})", self.i))
+        // `string()` steps over an escape pair, so a document cut right
+        // after a backslash leaves the cursor one past the end.
+        let i = self.i.min(self.bytes.len());
+        if i == self.bytes.len() {
+            return Err(format!("{what} at byte {i} (unexpected end of input)"));
         }
+        let end = (i + 24).min(self.bytes.len());
+        let near = String::from_utf8_lossy(&self.bytes[i..end]);
+        Err(format!("{what} at byte {i} (near {near:?})"))
     }
 
     fn skip_ws(&mut self) {
@@ -1162,17 +1163,34 @@ mod tests {
     fn parse_diagnoses_truncated_and_corrupt_input_without_panicking() {
         let mut r = Registry::new();
         r.set_meta("scale", "quick");
+        // Escaped strings: a cut right after a backslash must not panic.
+        r.set_meta("note", "a\"b\\c");
         r.inc("data_pkts", 41);
+        r.inc("q\"uoted", 1);
         r.observe("lat", 100);
         let json = r.to_json();
-        // Truncation at every prefix length must fail cleanly, never panic.
-        for cut in 0..json.len() - 1 {
-            if !json.is_char_boundary(cut) {
-                continue;
+        assert_eq!(Registry::parse(&json).unwrap(), r);
+        let mut prof = crate::Profile::new();
+        prof.reg = r.clone();
+        prof.series_mut("ev\\ents")
+            .record(eventsim::SimTime::ZERO, 5);
+        let serve = crate::ServeReport { reg: r.clone() };
+        let mut spans = crate::SpanReport::new();
+        spans.reg = r.clone();
+        // Truncation at every prefix length must fail cleanly, never panic,
+        // in each of the four artifact parsers.
+        let every_cut_fails = |doc: &str, parses: &dyn Fn(&str) -> bool| {
+            assert!(parses(doc), "rejected the intact document {doc}");
+            for cut in 0..doc.len() - 1 {
+                if doc.is_char_boundary(cut) {
+                    assert!(!parses(&doc[..cut]), "accepted truncation at {cut}");
+                }
             }
-            let err = Registry::parse(&json[..cut]);
-            assert!(err.is_err(), "accepted truncation at {cut}");
-        }
+        };
+        every_cut_fails(&json, &|t| Registry::parse(t).is_ok());
+        every_cut_fails(&prof.to_json(), &|t| crate::Profile::parse(t).is_ok());
+        every_cut_fails(&serve.to_json(), &|t| crate::ServeReport::parse(t).is_ok());
+        every_cut_fails(&spans.to_json(), &|t| crate::SpanReport::parse(t).is_ok());
         // Diagnostics carry a position and a reason.
         let err = Registry::parse(&json[..json.len() / 2]).unwrap_err();
         assert!(err.contains("byte"), "no position in {err:?}");
