@@ -161,6 +161,9 @@ pub struct SimResult {
 
 enum Event {
     FlowStart(u32),
+    /// A port finished serializing a frame. Pushed only when frames are
+    /// queued behind it or the port is kicked mid-frame; otherwise the
+    /// completion is elided (see `PortState::idle_at`).
     TxDone {
         node: NodeId,
         port: PortId,
@@ -249,6 +252,12 @@ fn timer_slot(kind: TimerKind) -> usize {
 #[derive(Clone, Copy, Default)]
 struct PortState {
     busy: bool,
+    /// Lazy link completion: the `(tx_end, seq)` key of this port's elided
+    /// `TxDone`. A frame that starts with nothing queued behind it only
+    /// reserves its completion's tie-break seq; the next `kick_port`
+    /// either finds the key already passed (the port went idle at
+    /// `tx_end`) or materializes the `TxDone` under the reserved seq.
+    idle_at: Option<(SimTime, u64)>,
     paused: bool,
     paused_since: SimTime,
     paused_total: SimTime,
@@ -361,6 +370,9 @@ pub struct Engine {
     /// Arena for in-flight packets (see [`Event::Deliver`]).
     pkts: PacketSlab,
     now: SimTime,
+    /// Tie-break seq of the executing event: `(now, now_seq)` is the key
+    /// elided link completions are ordered against.
+    now_seq: u64,
     actions: Vec<Action>,
     base_rtt: SimTime,
     bdp: u64,
@@ -555,6 +567,7 @@ impl Engine {
             queue,
             pkts: PacketSlab::with_capacity(1024),
             now: SimTime::ZERO,
+            now_seq: 0,
             actions: Vec::new(),
             base_rtt,
             bdp,
@@ -690,7 +703,7 @@ impl Engine {
             }};
         }
 
-        while let Some((t, ev)) = self.queue.pop() {
+        while let Some((t, seq, ev)) = self.queue.pop_keyed() {
             if t > self.cfg.max_time {
                 // Popped past the horizon without executing: cancelled,
                 // like everything still in the queue (drained in collect).
@@ -699,6 +712,7 @@ impl Engine {
                 break;
             }
             self.now = t;
+            self.now_seq = seq;
             #[cfg(feature = "profile")]
             let prof_kind = ev.kind();
             // Fan-out proxy: how many events this handler schedules
@@ -904,6 +918,19 @@ impl Engine {
             }
             if remaining == 0 {
                 break;
+            }
+        }
+        // A run cut at `max_time` or drained with flows still open ends at
+        // its last executed event — and an elided completion the eager
+        // engine would have popped counts as one.
+        if remaining > 0 {
+            let horizon = self.cfg.max_time;
+            for ps in self.ports.iter().flatten() {
+                if let Some((end, _)) = ps.idle_at {
+                    if end <= horizon && end > self.now {
+                        self.now = end;
+                    }
+                }
             }
         }
 
@@ -1277,10 +1304,27 @@ impl Engine {
     }
 
     /// Starts transmitting on `(node, port)` if it is idle, unpaused, and
-    /// has a packet queued.
+    /// has a packet queued. An elided completion on the port is settled
+    /// first (see `PortState::idle_at`).
     fn kick_port(&mut self, node: NodeId, port: PortId) {
         let n = node.0 as usize;
-        let ps = self.ports[n][port.0 as usize];
+        let ps = &mut self.ports[n][port.0 as usize];
+        if let Some((end, seq)) = ps.idle_at.take() {
+            if (end, seq) < (self.now, self.now_seq) {
+                // The elided completion has logically fired: the port
+                // went idle at `end` with nothing to send.
+                ps.busy = false;
+            } else {
+                // Still serializing: hand the completion back to the queue
+                // at its reserved seq, where the eager engine had it.
+                #[cfg(feature = "profile")]
+                self.prof.on_sched(crate::profile::EvKind::TxDone);
+                self.queue
+                    .schedule_with_seq(end, seq, Event::TxDone { node, port });
+                return;
+            }
+        }
+        let ps = *ps;
         if ps.busy || ps.paused {
             return;
         }
@@ -1318,8 +1362,19 @@ impl Engine {
         let tx = self.faults.tx_time(lid, &spec, wire);
         #[cfg(feature = "strict-invariants")]
         self.ledger.on_tx(lid.0 as usize, wire);
+        // Only a port with a backlog needs its completion event: an idle
+        // one just reserves the seq and is settled by its next kick.
+        let backlog = match &self.switches[n] {
+            Some(sw) => sw.queue_bytes(port) > 0,
+            None => !self.host_q[n].is_empty(),
+        };
         self.ports[n][port.0 as usize].busy = true;
-        self.sched(self.now + tx, Event::TxDone { node, port });
+        if backlog {
+            self.sched(self.now + tx, Event::TxDone { node, port });
+        } else {
+            let seq = self.queue.reserve_seq();
+            self.ports[n][port.0 as usize].idle_at = Some((self.now + tx, seq));
+        }
         // Link failure: the port still spends the serialization time, but
         // the frame goes onto a dead wire and is destroyed.
         if self.faults.is_down(lid) {
@@ -1904,6 +1959,36 @@ mod tests {
         assert_eq!(p.to_json(), again.profile.as_ref().unwrap().to_json());
     }
 
+    /// Lazy link completion: on an uncongested fabric most frames start
+    /// with nothing queued behind them, so their `TxDone` is never pushed.
+    /// Eager completion would push one per transmission (about one per
+    /// `Deliver`); the profiler counts only the materialized ones.
+    #[test]
+    #[cfg(feature = "profile")]
+    fn idle_ports_push_no_link_completions() {
+        let cfg = SimConfig::tcp_family(TransportKind::Dctcp).with_topology(
+            netsim::topology::TopologySpec::paper_fat_tree(4, SimTime::from_us(10)),
+        );
+        let flows: Vec<FlowSpec> = (0..48)
+            .map(|i| {
+                let src = i % 16;
+                let dst = (src + 1 + (i * 7) % 15) % 16;
+                FlowSpec::new(src, dst, 3_000, SimTime::from_us(7 * i as u64), true)
+            })
+            .collect();
+        let res = Engine::new(cfg, flows).run();
+        assert!(res.flows.iter().all(|f| f.end.is_some()));
+        let r = &res.profile.as_ref().expect("profile feature is on").reg;
+        let (tx_done, deliver) = (
+            r.counter("event_sched/tx_done"),
+            r.counter("event_sched/deliver"),
+        );
+        assert!(
+            tx_done < deliver / 2,
+            "{tx_done} link completions pushed for {deliver} deliveries"
+        );
+    }
+
     /// Flow-completion callbacks: a dependent flow starts exactly at its
     /// parent's completion plus the think-time delay, and its record
     /// carries the rewritten absolute start.
@@ -2251,6 +2336,43 @@ mod tests {
         cfg.max_time = SimTime::from_us(50); // not even one RTT
         let res = one_flow(cfg, 10_000_000);
         assert!(res.flows[0].end.is_none());
+    }
+
+    /// A run cut at `max_time` ends at its last event *including* elided
+    /// link completions, so `duration` and the pause fraction match the
+    /// engine that pushed every `TxDone`. The pinned values were measured
+    /// on that eager engine.
+    #[test]
+    fn max_time_cut_keeps_the_clock_of_elided_completions() {
+        // One 1 kB frame: the switch egress serializes it over
+        // [10_210, 10_420) ns and it reaches the receiver at 20_420 ns.
+        let cut = |ns: u64| {
+            let mut cfg =
+                SimConfig::tcp_family(TransportKind::Tcp).with_topology(small_single_switch(2));
+            cfg.max_time = SimTime::from_ns(ns);
+            one_flow(cfg, 1_000).agg.duration
+        };
+        // Mid-transmission at the horizon: the completion lies beyond it.
+        assert_eq!(cut(10_300), SimTime::from_ns(10_210));
+        // Past the (elided) completion: it was the last event to fire.
+        assert_eq!(cut(15_000), SimTime::from_ns(10_420));
+        // Past delivery but before the ACK's NIC completion returns.
+        assert_eq!(cut(25_000), SimTime::from_ns(20_430));
+
+        // A PFC incast cut while a NIC is still paused: the open pause
+        // episode is closed at `duration`, so the fraction moves with it.
+        let mut cfg = SimConfig::tcp_family(TransportKind::Tcp)
+            .with_topology(small_single_switch(5))
+            .with_pfc();
+        cfg.switch.buffer_bytes = 1_000_000;
+        cfg.max_time = SimTime::from_ns(189_490);
+        let flows: Vec<FlowSpec> = (1..5)
+            .map(|s| FlowSpec::new(s, 0, 1_000_000, SimTime::from_us(s as u64 * 3), true))
+            .collect();
+        let res = Engine::new(cfg, flows).run();
+        assert_eq!(res.agg.pause_frames, 2);
+        assert_eq!(res.agg.duration, SimTime::from_ns(189_470));
+        assert_eq!(res.agg.link_pause_fraction, 2.318_045_073_098_643_6e-2);
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub const N_KINDS: usize = 10;
 pub enum EvKind {
     /// A flow's start time arrived.
     FlowStart,
-    /// A port finished serializing a frame.
+    /// A port finished serializing a frame. Only pushed completions are
+    /// counted: a port that goes idle settles its completion at its next
+    /// kick, without an event.
     TxDone,
     /// A frame arrived at a node.
     Deliver,

@@ -242,6 +242,16 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, or `None` when empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_keyed().map(|(at, _, event)| (at, event))
+    }
+
+    /// Like [`EventQueue::pop`], but also returns the entry's tie-break
+    /// seq, so a caller can order a deferred event (one whose seq it
+    /// reserved but never pushed) against the event now executing: the
+    /// deferred event has logically fired iff its `(at, seq)` is below the
+    /// popped key.
+    #[inline]
+    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         if self.cur.is_empty() && !self.refill() {
             return None;
         }
@@ -265,7 +275,7 @@ impl<E> EventQueue<E> {
             }
             self.last_pop = Some((e.at, e.seq));
         }
-        Some((e.at, e.event))
+        Some((e.at, e.seq, e.event))
     }
 
     /// Timestamp of the earliest pending event, if any.
@@ -406,6 +416,27 @@ mod tests {
         let _ = q.reserve_seq();
         assert_eq!(q.scheduled_total(), 3);
         assert_eq!(q.seq_total(), 4);
+
+        // A reserved seq can also materialize late into a bucket (a key
+        // above the floor): it still pops by `(at, seq)`, ahead of a
+        // same-time entry scheduled after the reservation.
+        let held = q.reserve_seq();
+        q.schedule(SimTime::from_ns(9), "after");
+        q.schedule(SimTime::from_ns(7), "early");
+        q.schedule_with_seq(SimTime::from_ns(9), held, "reserved");
+        q.schedule(SimTime::from_ns(9), "last");
+        let keyed: Vec<_> = std::iter::from_fn(|| q.pop_keyed()).collect();
+        let order: Vec<_> = keyed.iter().map(|&(_, _, e)| e).collect();
+        assert_eq!(order, ["early", "reserved", "after", "last"]);
+        assert_eq!(keyed[1].1, held);
+        for w in keyed.windows(2) {
+            assert!(
+                (w[0].0, w[0].1) < (w[1].0, w[1].1),
+                "pop_keyed not strictly increasing: {:?} then {:?}",
+                (w[0].0, w[0].1),
+                (w[1].0, w[1].1)
+            );
+        }
     }
 
     #[test]
