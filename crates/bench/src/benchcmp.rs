@@ -17,7 +17,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use telemetry::registry::push_json_string;
 use telemetry::{
     Profile, Registry, ServeReport, SpanReport, METRICS_SCHEMA, PROFILE_SCHEMA, SERVE_SCHEMA,
     SPANS_SCHEMA,
@@ -100,10 +99,12 @@ pub fn load(text: &str) -> Result<Doc, String> {
     }
     match errs.iter().find(|e| !e.starts_with("schema mismatch")) {
         Some(e) => Err(e.clone()),
-        None => Err(format!(
-            "unsupported schema {}",
-            errs[0].rsplit("found ").next().unwrap_or_default()
-        )),
+        None => {
+            // `schema mismatch: expected "…", found "<tag>" at line …`
+            let found = errs[0].split_once(", found ").map_or("", |(_, t)| t);
+            let tag = found.split_once(" at line ").map_or(found, |(tag, _)| tag);
+            Err(format!("unsupported schema {tag}"))
+        }
     }
 }
 
@@ -183,7 +184,7 @@ impl Comparison {
         s.push_str("  \"deltas\": [\n");
         for (i, d) in self.changed.iter().enumerate() {
             s.push_str("    {\"key\": ");
-            push_json_string(&mut s, &d.key);
+            json::push_str(&mut s, &d.key);
             let _ = write!(
                 s,
                 ", \"old\": {}, \"new\": {}, \"pct\": {}}}",

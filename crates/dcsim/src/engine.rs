@@ -392,7 +392,7 @@ pub struct Engine {
     /// Strict-invariant conservation ledger: engine-side per-link and
     /// per-drop-reason accounting, audited against [`AggregateStats`] at
     /// drain time.
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     ledger: crate::ledger::ConservationLedger,
     /// Event-level profiler: per-kind schedule/execute tallies, fan-out and
     /// queue-depth histograms, and sim-time series. Created in `new` (like
@@ -554,7 +554,7 @@ impl Engine {
 
         Engine {
             cfg,
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             ledger: crate::ledger::ConservationLedger::new(topo.link_count()),
             #[cfg(feature = "profile")]
             prof,
@@ -1033,7 +1033,7 @@ impl Engine {
                 retx: st.fast_retx + st.rto_retx,
             });
         }
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         self.ledger.audit_final(&agg);
 
         // Seal the latency ledgers. This is where the tentpole invariant is
@@ -1048,7 +1048,7 @@ impl Engine {
                 .enumerate()
                 .map(|(i, rt)| {
                     let rec = rt.lg.to_record(i as u32, rt.complete_at.map(|t| t.as_ns()));
-                    #[cfg(feature = "strict-invariants")]
+                    #[cfg(debug_assertions)]
                     debug_assert_eq!(
                         rec.residue(),
                         rt.complete_at.map(|_| 0i128),
@@ -1124,7 +1124,7 @@ impl Engine {
         let in_link = self.topo.incoming_link(to, in_port);
         let (f, dir, hop) = {
             let p = self.pkts.get(pref);
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             self.ledger.on_arrival(in_link.0 as usize, p.wire_size());
             (p.flow.0, p.dir, p.hop)
         };
@@ -1252,7 +1252,7 @@ impl Engine {
             DropReason::DynamicThreshold => DropWhy::Dynamic,
             DropReason::BufferOverflow => DropWhy::Overflow,
         });
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         if let Some(why) = dropped {
             self.ledger.account_drop(why);
         }
@@ -1360,7 +1360,7 @@ impl Engine {
         let (spec, to) = (rec.spec, rec.to);
         let wire = self.pkts.get(pkt).wire_size();
         let tx = self.faults.tx_time(lid, &spec, wire);
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         self.ledger.on_tx(lid.0 as usize, wire);
         // Only a port with a backlog needs its completion event: an idle
         // one just reserves the seq and is settled by its next kick.
@@ -1380,7 +1380,7 @@ impl Engine {
         if self.faults.is_down(lid) {
             let pkt = self.pkts.take(pkt);
             self.faults.down_drops += 1;
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             self.ledger
                 .on_tx_dropped(lid.0 as usize, wire, DropWhy::LinkDown);
             self.tracer.emit(self.now, || TraceEvent::Drop {
@@ -1409,7 +1409,7 @@ impl Engine {
         // arrives. Only links with an active loss model consult the RNG.
         if self.faults.corrupts(lid) {
             let pkt = self.pkts.take(pkt);
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             self.ledger
                 .on_tx_dropped(lid.0 as usize, wire, DropWhy::Wire);
             self.tracer.emit(self.now, || TraceEvent::Drop {
@@ -1434,7 +1434,7 @@ impl Engine {
             );
             return;
         }
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         self.ledger.on_scheduled(lid.0 as usize, wire);
         // Journey contiguity: dequeue at `now`, arrival at `now + tx +
         // delay` — accumulating exactly those two terms keeps the journey's
@@ -1463,7 +1463,7 @@ impl Engine {
             self.prof.deliver_destroyed += 1;
         }
         self.faults.down_drops += 1;
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         self.ledger.account_drop(DropWhy::LinkDown);
         self.tracer.emit(self.now, || TraceEvent::Drop {
             node: node.0,

@@ -3,7 +3,7 @@
 //!
 //! Every flow owns a [`FlowLedger`] that splits its completion time into the
 //! seven [`Phase`]s **exactly** — `Σ phases == FCT` with zero unattributed
-//! time, `debug_assert`ed under `strict-invariants` like the MMU and
+//! time, `debug_assert`ed in debug builds like the MMU and
 //! per-link conservation ledgers.
 //!
 //! # How conservation is closed

@@ -34,7 +34,7 @@
 mod config;
 mod engine;
 pub mod latency;
-#[cfg(feature = "strict-invariants")]
+#[cfg(debug_assertions)]
 pub mod ledger;
 #[cfg(feature = "profile")]
 pub mod profile;

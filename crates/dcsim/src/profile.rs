@@ -1,7 +1,7 @@
 //! The event-level engine profiler (feature `profile`).
 //!
 //! Compiled in only under the `profile` cargo feature — the same zero-cost
-//! discipline as `strict-invariants` — and collected unconditionally while
+//! discipline as `ledger` — and collected unconditionally while
 //! enabled, so a profiling build of any bench binary needs no extra flags.
 //!
 //! The profiler answers the question ROADMAP items 1–2 keep asking: where
@@ -101,7 +101,7 @@ impl EvKind {
 }
 
 /// Per-run profiler state, owned by the engine (created in `Engine::new`
-/// like the strict-invariants ledger, so constructor-time scheduling is
+/// like the debug-build conservation ledger, so constructor-time scheduling is
 /// counted too).
 pub(crate) struct EngineProf {
     sched: [u64; N_KINDS],

@@ -29,7 +29,7 @@ const BUCKETS: usize = 64;
 ///
 /// The design requires keys to be monotonically non-decreasing relative to
 /// `top`: scheduling earlier than the last popped timestamp is *clamped up
-/// to it* (and trips a debug assertion under `strict-invariants`, since an
+/// to it* (and trips a debug assertion in debug builds, since an
 /// engine doing that has broken causality). The simulation engine never
 /// schedules into the past — it clamps timers to `now` itself.
 ///
@@ -68,7 +68,7 @@ pub struct EventQueue<E> {
     /// asserted non-decreasing so a tie-break regression (or queue misuse)
     /// surfaces at the pop that breaks simulated causality, not as a
     /// mysteriously different figure three layers up.
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     last_pop: Option<(SimTime, u64)>,
     /// Profiling: high-water mark of pending events.
     #[cfg(feature = "profile")]
@@ -103,7 +103,7 @@ impl<E> EventQueue<E> {
             seq: 0,
             pushes: 0,
             spare: Vec::new(),
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             last_pop: None,
             #[cfg(feature = "profile")]
             peak_len: 0,
@@ -128,7 +128,7 @@ impl<E> EventQueue<E> {
     /// Schedules `event` to fire at `at`.
     ///
     /// Scheduling earlier than the last popped timestamp is clamped up to
-    /// it (and is a `strict-invariants` debug-assertion failure): the
+    /// it (and is a debug-assertion failure): the
     /// radix layout cannot file keys below `top`, and an engine scheduling
     /// into the past has broken causality anyway. The engine layer only
     /// schedules at or after its current clock.
@@ -155,7 +155,7 @@ impl<E> EventQueue<E> {
     /// returned by [`EventQueue::reserve_seq`]. The caller must ensure
     /// `(at, seq)` does not precede anything already popped (the engine's
     /// deferred timers satisfy this by construction); a violation trips
-    /// the `strict-invariants` pop audit.
+    /// the debug-build pop audit.
     #[inline]
     pub fn schedule_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
         debug_assert!(seq < self.seq, "seq was never reserved");
@@ -165,7 +165,7 @@ impl<E> EventQueue<E> {
     fn push_entry(&mut self, at: SimTime, seq: u64, event: E) {
         let mut key = at.as_ns();
         if key < self.top {
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             debug_assert!(
                 false,
                 "scheduled into the past: {:?} below wheel floor {:?}",
@@ -263,7 +263,7 @@ impl<E> EventQueue<E> {
             // never drift from what was actually handed out.
             self.pops += 1;
         }
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             if let Some((t, s)) = self.last_pop {
                 debug_assert!(
@@ -454,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "strict-invariants"))]
+    #[cfg(not(debug_assertions))]
     fn schedule_into_past_clamps_to_wheel_floor() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ns(10), "late");
@@ -493,7 +493,7 @@ mod tests {
     /// is exactly the engine bug the audit exists to catch. The wheel
     /// rejects it at the schedule site (it cannot even file such a key).
     #[test]
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduled into the past")]
     fn strict_pop_order_audit_fires_on_time_travel() {
         let mut q = EventQueue::new();
@@ -615,9 +615,9 @@ mod tests {
                         id += 1;
                     }
                     // Schedule into the past: clamps to the floor. The
-                    // strict build forbids it, so keep the key legal there.
+                    // debug build forbids it, so keep the key legal there.
                     5 => {
-                        let at = if cfg!(feature = "strict-invariants") {
+                        let at = if cfg!(debug_assertions) {
                             now
                         } else {
                             now.saturating_sub(rng.gen_range_u64(0..1_000))
@@ -637,9 +637,9 @@ mod tests {
                         let at = now.saturating_add(rng.gen_range_u64(0..2_000));
                         // A reserved (old) seq materializing at the current
                         // floor pops "behind" later seqs already popped
-                        // there — legal for the queue, but the strict audit
+                        // there — legal for the queue, but the debug audit
                         // rightly flags it (the engine can't produce it).
-                        if cfg!(feature = "strict-invariants") && at <= now {
+                        if cfg!(debug_assertions) && at <= now {
                             continue;
                         }
                         let i = rng.gen_range_usize(0..reserved.len());

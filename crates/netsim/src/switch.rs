@@ -185,7 +185,7 @@ struct Queued {
 /// cross-checks them against the live occupancy and [`SwitchStats`], so a
 /// new admission/drop path that forgets its bookkeeping fails the next
 /// audit instead of silently skewing figures.
-#[cfg(feature = "strict-invariants")]
+#[cfg(debug_assertions)]
 #[derive(Clone, Copy, Debug, Default)]
 struct MmuLedger {
     /// Bytes offered to `enqueue` (admitted or not).
@@ -234,7 +234,7 @@ pub struct Switch {
     rng: SimRng,
     tracer: Tracer,
     node: u32,
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     ledger: MmuLedger,
 }
 
@@ -266,12 +266,12 @@ impl Switch {
             rng: SimRng::seed_from(seed ^ 0xD1E5_EA5E),
             tracer: Tracer::off(),
             node: 0,
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             ledger: MmuLedger::default(),
         }
     }
 
-    /// Audits MMU conservation and PFC parity (strict-invariants only):
+    /// Audits MMU conservation and PFC parity (debug builds only):
     ///
     /// - every offered byte was admitted or dropped, never both or neither;
     /// - admitted bytes equal forwarded bytes plus current occupancy;
@@ -282,7 +282,7 @@ impl Switch {
     ///
     /// Runs automatically after every `enqueue`/`dequeue`; also callable at
     /// drain time by the engine. All checks are `debug_assert!`-based.
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     pub fn audit_conservation(&self) {
         let l = &self.ledger;
         debug_assert_eq!(
@@ -317,13 +317,13 @@ impl Switch {
 
     #[inline]
     fn debug_audit(&self) {
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         self.audit_conservation();
     }
 
     /// Deliberately unbalances the ledger so tests can prove the audit is
     /// live (a dead auditor is worse than none).
-    #[cfg(all(test, feature = "strict-invariants"))]
+    #[cfg(all(test, debug_assertions))]
     fn corrupt_ledger_for_test(&mut self) {
         self.ledger.admitted_bytes += 1;
     }
@@ -403,7 +403,7 @@ impl Switch {
         };
         let wire = u64::from(wire32);
         let q = self.q_bytes[e];
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             self.ledger.offered_bytes += wire;
         }
@@ -411,7 +411,7 @@ impl Switch {
         let reject = |this: &mut Self, slab: &mut PacketSlab, reason: DropReason| {
             // A rejected frame dies here: release its arena slot.
             drop(slab.take(pkt));
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             {
                 this.ledger.dropped_bytes += wire;
             }
@@ -491,7 +491,7 @@ impl Switch {
         }
 
         // 4. Commit.
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             self.ledger.admitted_bytes += wire;
         }
@@ -568,7 +568,7 @@ impl Switch {
             return (None, None);
         };
         let wire = u64::from(q.wire);
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             self.ledger.forwarded_bytes += wire;
         }
@@ -1217,7 +1217,7 @@ mod tests {
     /// deliberately corrupted ledger makes it fire — proving the auditor
     /// itself is alive, not vacuously passing.
     #[test]
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     fn strict_audit_passes_on_honest_ledger() {
         let mut cfg = small_cfg();
         cfg.color_threshold = Some(10_000);
@@ -1241,7 +1241,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "MMU ledger")]
     fn strict_audit_fires_on_corrupted_ledger() {
         let mut sw = Sw::new(small_cfg(), 0);

@@ -19,7 +19,7 @@ use crate::rules::{FileAnalysis, RawFinding};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::json::{self, Value};
+use json::Value;
 
 /// Bumped whenever rule or extraction semantics change, invalidating all
 /// prior entries (the content hash only covers the *input* file).

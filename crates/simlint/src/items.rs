@@ -9,8 +9,8 @@
 //! extraction for unchanged files while the cheap cross-file passes in
 //! [`crate::graph`] rerun every time.
 
-use crate::json::Value;
 use crate::lexer::{str_contents, Lexed, TokKind};
+use json::Value;
 use std::collections::BTreeMap;
 
 /// How rule E1 decides a variant has an accounting site.
@@ -742,8 +742,8 @@ mod tests {
         let l = lex(EVENT_SNIPPET);
         let items = extract(&l, &[]);
         let v = items.to_json();
-        let text = crate::json::write(&v);
-        let back = FileItems::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let text = json::write(&v);
+        let back = FileItems::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.enums, items.enums);
         assert_eq!(back.refs, items.refs);
         assert_eq!(back.emits, items.emits);

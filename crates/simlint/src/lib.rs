@@ -35,7 +35,6 @@
 pub mod cache;
 pub mod graph;
 pub mod items;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod schema;

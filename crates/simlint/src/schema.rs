@@ -15,7 +15,7 @@
 //! checking exactly like `required_*`, but presence validators must not
 //! demand them in every export.
 
-use crate::json::{self, Value};
+use json::Value;
 
 /// One declared key or key prefix.
 #[derive(Clone, Debug)]
@@ -196,6 +196,13 @@ mod tests {
         );
         assert!(s.allows_prefix("timeout"), "prefix of an exact key");
         assert!(!s.allows_prefix("rto_cause_"));
+    }
+
+    #[test]
+    fn escaped_keys_decode() {
+        let s = Schema::parse(r#"{"required_counters": ["a\rb", "\ud83d\ude00x"]}"#).unwrap();
+        let exacts: Vec<&str> = s.exact.iter().map(|d| d.key.as_str()).collect();
+        assert_eq!(exacts, ["a\rb", "\u{1F600}x"]);
     }
 
     #[test]

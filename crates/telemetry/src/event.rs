@@ -5,6 +5,8 @@
 //! integers (never floats), so a deterministic simulation produces a
 //! byte-identical trace — the property the determinism tests pin.
 
+use std::borrow::Cow;
+
 use eventsim::SimTime;
 
 /// Why a packet was dropped, as recorded in [`TraceEvent::Drop`].
@@ -210,7 +212,7 @@ impl RtoCauseCounts {
 ///
 /// Every completed flow's wall time (`FCT`) splits exactly into these seven
 /// phases — the conservation invariant `Σ phases == FCT` is closed by
-/// construction and `debug_assert`ed under `strict-invariants`. The first
+/// construction and `debug_assert`ed in debug builds. The first
 /// five describe where a delivered packet's journey time went; the last two
 /// are recovery modes during which the whole flow timeline is attributed to
 /// loss recovery rather than to individual packet journeys.
@@ -823,140 +825,146 @@ impl TraceEvent {
         s
     }
 
-    /// Decodes one JSONL line produced by [`TraceEvent::to_jsonl`].
+    /// Decodes one JSONL line produced by [`TraceEvent::to_jsonl`], reading
+    /// its keys in the order the encoder writes them.
     ///
     /// Returns `None` for malformed lines (the inspector reports them
     /// rather than panicking on a truncated trace).
     pub fn from_jsonl(line: &str) -> Option<(SimTime, TraceEvent)> {
-        let fields = parse_object(line)?;
-        let t = SimTime::from_ns(fields.num("t")?);
-        let u32_of = |k: &str| fields.num(k).and_then(|v| u32::try_from(v).ok());
-        let ev = match fields.str("ev")? {
+        let mut r = LineReader {
+            c: json::Cursor::new(line),
+            first: true,
+        };
+        r.c.expect('{').ok()?;
+        let t = r.time("t")?;
+        let ev = match r.str("ev")?.as_ref() {
             "run_start" => TraceEvent::RunStart {
-                label: fields.string("label")?,
-                seed: fields.num("seed")?,
+                label: r.str("label")?.into_owned(),
+                seed: r.num("seed")?,
             },
             "run_end" => TraceEvent::RunEnd {
-                drops_color: fields.num("drops_color")?,
-                drops_dt: fields.num("drops_dt")?,
-                drops_overflow: fields.num("drops_overflow")?,
-                wire_drops: fields.num("wire_drops")?,
-                down_drops: fields.num("down_drops")?,
-                pause_frames: fields.num("pause_frames")?,
-                timeouts: fields.num("timeouts")?,
+                drops_color: r.num("drops_color")?,
+                drops_dt: r.num("drops_dt")?,
+                drops_overflow: r.num("drops_overflow")?,
+                wire_drops: r.num("wire_drops")?,
+                down_drops: r.num("down_drops")?,
+                pause_frames: r.num("pause_frames")?,
+                timeouts: r.num("timeouts")?,
                 rto_causes: {
                     let mut rc = RtoCauseCounts::default();
                     for cause in RtoCause::ALL {
                         let mut key = String::from("rto_");
                         key.push_str(cause.as_str());
-                        rc.add(cause, fields.num(&key)?);
+                        rc.add(cause, r.num(&key)?);
                     }
                     rc
                 },
             },
             "flow_start" => TraceEvent::FlowStart {
-                flow: u32_of("flow")?,
-                bytes: fields.num("bytes")?,
+                flow: r.id("flow")?,
+                bytes: r.num("bytes")?,
             },
             "flow_end" => TraceEvent::FlowEnd {
-                flow: u32_of("flow")?,
+                flow: r.id("flow")?,
             },
             "enq" => TraceEvent::Enqueue {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                qlen: fields.num("q")?,
+                node: r.id("node")?,
+                port: r.id("port")?,
+                flow: r.id("flow")?,
+                seq: r.num("seq")?,
+                qlen: r.num("q")?,
             },
             "deq" => TraceEvent::Dequeue {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                qlen: fields.num("q")?,
+                node: r.id("node")?,
+                port: r.id("port")?,
+                flow: r.id("flow")?,
+                seq: r.num("seq")?,
+                qlen: r.num("q")?,
             },
             "ce" => TraceEvent::CeMark {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                qlen: fields.num("q")?,
+                node: r.id("node")?,
+                port: r.id("port")?,
+                flow: r.id("flow")?,
+                seq: r.num("seq")?,
+                qlen: r.num("q")?,
             },
             "drop" => TraceEvent::Drop {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                why: DropWhy::parse(fields.str("why")?)?,
-                green: fields.boolean("green")?,
+                node: r.id("node")?,
+                port: r.id("port")?,
+                flow: r.id("flow")?,
+                seq: r.num("seq")?,
+                why: DropWhy::parse(&r.str("why")?)?,
+                green: r.flag("green")?,
             },
             "tlt_mark" => TraceEvent::TltMark {
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                important: fields.boolean("important")?,
+                flow: r.id("flow")?,
+                seq: r.num("seq")?,
+                important: r.flag("important")?,
             },
             "xoff" => TraceEvent::PfcXoff {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
+                node: r.id("node")?,
+                port: r.id("port")?,
             },
             "xon" => TraceEvent::PfcXon {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
+                node: r.id("node")?,
+                port: r.id("port")?,
             },
             "pause" => TraceEvent::LinkPause {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
+                node: r.id("node")?,
+                port: r.id("port")?,
             },
             "resume" => TraceEvent::LinkResume {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
+                node: r.id("node")?,
+                port: r.id("port")?,
             },
             "timer_arm" => TraceEvent::TimerArm {
-                flow: u32_of("flow")?,
-                kind: TimerId::parse(fields.str("kind")?)?,
-                at: SimTime::from_ns(fields.num("at")?),
+                flow: r.id("flow")?,
+                kind: TimerId::parse(&r.str("kind")?)?,
+                at: r.time("at")?,
             },
             "timer_cancel" => TraceEvent::TimerCancel {
-                flow: u32_of("flow")?,
-                kind: TimerId::parse(fields.str("kind")?)?,
+                flow: r.id("flow")?,
+                kind: TimerId::parse(&r.str("kind")?)?,
             },
             "timer_fire" => TraceEvent::TimerFire {
-                flow: u32_of("flow")?,
-                kind: TimerId::parse(fields.str("kind")?)?,
+                flow: r.id("flow")?,
+                kind: TimerId::parse(&r.str("kind")?)?,
             },
             "timeout" => TraceEvent::Timeout {
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
+                flow: r.id("flow")?,
+                seq: r.num("seq")?,
             },
             "fast_retx" => TraceEvent::FastRetx {
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
+                flow: r.id("flow")?,
+                seq: r.num("seq")?,
             },
             "fault" => TraceEvent::Fault {
-                kind: FaultKind::parse(fields.str("kind")?)?,
-                node: u32_of("node")?,
-                port: u32_of("port")?,
+                kind: FaultKind::parse(&r.str("kind")?)?,
+                node: r.id("node")?,
+                port: r.id("port")?,
             },
             "reroute" => TraceEvent::Reroute {
-                flow: u32_of("flow")?,
-                ok: fields.boolean("ok")?,
+                flow: r.id("flow")?,
+                ok: r.flag("ok")?,
             },
             "port_sample" => TraceEvent::PortSample {
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                qlen: fields.num("q")?,
-                paused: fields.boolean("paused")?,
+                node: r.id("node")?,
+                port: r.id("port")?,
+                qlen: r.num("q")?,
+                paused: r.flag("paused")?,
             },
             "rto_cause" => TraceEvent::RtoForensic {
-                flow: u32_of("flow")?,
-                seq: fields.num("seq")?,
-                cause: RtoCause::parse(fields.str("cause")?)?,
-                node: u32_of("node")?,
-                port: u32_of("port")?,
-                root_at: SimTime::from_ns(fields.num("root_at")?),
+                flow: r.id("flow")?,
+                seq: r.num("seq")?,
+                cause: RtoCause::parse(&r.str("cause")?)?,
+                node: r.id("node")?,
+                port: r.id("port")?,
+                root_at: r.time("root_at")?,
             },
             _ => return None,
         };
+        r.c.expect('}').ok()?;
+        r.c.end().ok()?;
         Some((t, ev))
     }
 }
@@ -983,158 +991,53 @@ fn push_bool_field(s: &mut String, key: &str, v: bool) {
 fn push_str_field(s: &mut String, key: &str, v: &str) {
     s.push_str(",\"");
     s.push_str(key);
-    s.push_str("\":\"");
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
+    s.push_str("\":");
+    json::push_str(s, v);
 }
 
-/// A flat JSON object decoded into (key, value) pairs.
-struct Fields<'a> {
-    pairs: Vec<(&'a str, Value<'a>)>,
+/// Reads a flat trace line key by key, in the encoder's order, on the
+/// shared JSON cursor (no intermediate tree or field list).
+struct LineReader<'a> {
+    c: json::Cursor<'a>,
+    first: bool,
 }
 
-enum Value<'a> {
-    Num(u64),
-    Str(&'a str),
-    Bool(bool),
-}
-
-impl<'a> Fields<'a> {
-    fn get(&self, key: &str) -> Option<&Value<'a>> {
-        self.pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+impl<'a> LineReader<'a> {
+    /// Consumes the separator before the next key, then the key `name`.
+    fn key(&mut self, name: &str) -> Option<()> {
+        if !std::mem::take(&mut self.first) {
+            self.c.expect(',').ok()?;
+        }
+        (self.c.string().ok()? == name).then_some(())?;
+        self.c.expect(':').ok()
     }
 
-    fn num(&self, key: &str) -> Option<u64> {
-        match self.get(key)? {
-            Value::Num(v) => Some(*v),
-            _ => None,
-        }
+    fn num(&mut self, name: &str) -> Option<u64> {
+        self.key(name)?;
+        self.c.number().ok()
     }
 
-    fn str(&self, key: &str) -> Option<&'a str> {
-        match self.get(key)? {
-            Value::Str(v) => Some(v),
-            _ => None,
-        }
+    fn id(&mut self, name: &str) -> Option<u32> {
+        u32::try_from(self.num(name)?).ok()
     }
 
-    /// Like [`Fields::str`] but unescapes into an owned string.
-    fn string(&self, key: &str) -> Option<String> {
-        let raw = self.str(key)?;
-        if !raw.contains('\\') {
-            return Some(raw.to_string());
-        }
-        let mut out = String::with_capacity(raw.len());
-        let mut chars = raw.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            }
-        }
-        Some(out)
+    fn time(&mut self, name: &str) -> Option<SimTime> {
+        self.num(name).map(SimTime::from_ns)
     }
 
-    fn boolean(&self, key: &str) -> Option<bool> {
-        match self.get(key)? {
-            Value::Bool(v) => Some(*v),
-            _ => None,
-        }
+    fn str(&mut self, name: &str) -> Option<Cow<'a, str>> {
+        self.key(name)?;
+        self.c.string().ok()
     }
-}
 
-/// Parses a single-line flat JSON object of unsigned numbers, strings, and
-/// booleans — the only shapes the codec emits.
-fn parse_object(line: &str) -> Option<Fields<'_>> {
-    let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let bytes = body.as_bytes();
-    let mut pairs = Vec::with_capacity(8);
-    let mut i = 0;
-    while i < bytes.len() {
-        // Key: "name"
-        if bytes[i] != b'"' {
-            return None;
-        }
-        let key_end = find_string_end(bytes, i + 1)?;
-        let key = &body[i + 1..key_end];
-        i = key_end + 1;
-        if bytes.get(i) != Some(&b':') {
-            return None;
-        }
-        i += 1;
-        // Value.
-        let value = match bytes.get(i)? {
-            b'"' => {
-                let end = find_string_end(bytes, i + 1)?;
-                let v = Value::Str(&body[i + 1..end]);
-                i = end + 1;
-                v
-            }
-            b't' if body[i..].starts_with("true") => {
-                i += 4;
-                Value::Bool(true)
-            }
-            b'f' if body[i..].starts_with("false") => {
-                i += 5;
-                Value::Bool(false)
-            }
-            b'0'..=b'9' => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                Value::Num(body[start..i].parse().ok()?)
-            }
-            _ => return None,
-        };
-        pairs.push((key, value));
-        match bytes.get(i) {
-            Some(b',') => i += 1,
-            None => break,
-            _ => return None,
-        }
+    fn flag(&mut self, name: &str) -> Option<bool> {
+        self.key(name)?;
+        self.c.bool().ok()
     }
-    Some(Fields { pairs })
-}
-
-/// Index of the closing quote of a string starting at `from`, honoring
-/// backslash escapes.
-fn find_string_end(bytes: &[u8], from: usize) -> Option<usize> {
-    let mut i = from;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(i),
-            _ => i += 1,
-        }
-    }
-    None
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn roundtrip(ev: TraceEvent) {
@@ -1147,13 +1050,17 @@ mod tests {
         assert_eq!(ev, ev2, "event roundtrip for {line}");
     }
 
-    #[test]
-    fn every_variant_roundtrips() {
-        roundtrip(TraceEvent::RunStart {
+    /// Events covering every variant and every tag of the enums they carry.
+    pub(crate) fn sample_events() -> Vec<TraceEvent> {
+        let mut v = vec![TraceEvent::RunStart {
+            label: "q\"uote\\d\n".into(),
+            seed: 0,
+        }];
+        v.push(TraceEvent::RunStart {
             label: "fig09/dctcp+tlt".into(),
             seed: 7,
         });
-        roundtrip(TraceEvent::RunEnd {
+        v.push(TraceEvent::RunEnd {
             drops_color: 1,
             drops_dt: 2,
             drops_overflow: 3,
@@ -1168,19 +1075,19 @@ mod tests {
                 rc
             },
         });
-        roundtrip(TraceEvent::FlowStart {
+        v.push(TraceEvent::FlowStart {
             flow: 9,
             bytes: 64_000,
         });
-        roundtrip(TraceEvent::FlowEnd { flow: 9 });
-        roundtrip(TraceEvent::Enqueue {
+        v.push(TraceEvent::FlowEnd { flow: 9 });
+        v.push(TraceEvent::Enqueue {
             node: 1,
             port: 2,
             flow: 3,
             seq: 4,
             qlen: 5,
         });
-        roundtrip(TraceEvent::Dequeue {
+        v.push(TraceEvent::Dequeue {
             node: 1,
             port: 2,
             flow: 3,
@@ -1194,7 +1101,7 @@ mod tests {
             DropWhy::Wire,
             DropWhy::LinkDown,
         ] {
-            roundtrip(TraceEvent::Drop {
+            v.push(TraceEvent::Drop {
                 node: 1,
                 port: 0,
                 flow: 2,
@@ -1203,22 +1110,22 @@ mod tests {
                 green: why == DropWhy::Dynamic,
             });
         }
-        roundtrip(TraceEvent::CeMark {
+        v.push(TraceEvent::CeMark {
             node: 0,
             port: 1,
             flow: 2,
             seq: 3,
             qlen: 200_001,
         });
-        roundtrip(TraceEvent::TltMark {
+        v.push(TraceEvent::TltMark {
             flow: 1,
             seq: 2880,
             important: true,
         });
-        roundtrip(TraceEvent::PfcXoff { node: 3, port: 1 });
-        roundtrip(TraceEvent::PfcXon { node: 3, port: 1 });
-        roundtrip(TraceEvent::LinkPause { node: 4, port: 0 });
-        roundtrip(TraceEvent::LinkResume { node: 4, port: 0 });
+        v.push(TraceEvent::PfcXoff { node: 3, port: 1 });
+        v.push(TraceEvent::PfcXon { node: 3, port: 1 });
+        v.push(TraceEvent::LinkPause { node: 4, port: 0 });
+        v.push(TraceEvent::LinkResume { node: 4, port: 0 });
         for kind in [
             TimerId::Rto,
             TimerId::Tlp,
@@ -1226,16 +1133,16 @@ mod tests {
             TimerId::DcqcnAlpha,
             TimerId::DcqcnIncrease,
         ] {
-            roundtrip(TraceEvent::TimerArm {
+            v.push(TraceEvent::TimerArm {
                 flow: 1,
                 kind,
                 at: SimTime::from_us(55),
             });
-            roundtrip(TraceEvent::TimerCancel { flow: 1, kind });
-            roundtrip(TraceEvent::TimerFire { flow: 1, kind });
+            v.push(TraceEvent::TimerCancel { flow: 1, kind });
+            v.push(TraceEvent::TimerFire { flow: 1, kind });
         }
-        roundtrip(TraceEvent::Timeout { flow: 5, seq: 0 });
-        roundtrip(TraceEvent::FastRetx { flow: 5, seq: 1440 });
+        v.push(TraceEvent::Timeout { flow: 5, seq: 0 });
+        v.push(TraceEvent::FastRetx { flow: 5, seq: 1440 });
         for kind in [
             FaultKind::LinkDown,
             FaultKind::LinkUp,
@@ -1243,22 +1150,22 @@ mod tests {
             FaultKind::StormStart,
             FaultKind::StormEnd,
         ] {
-            roundtrip(TraceEvent::Fault {
+            v.push(TraceEvent::Fault {
                 kind,
                 node: 12,
                 port: 3,
             });
         }
-        roundtrip(TraceEvent::Reroute { flow: 8, ok: true });
-        roundtrip(TraceEvent::Reroute { flow: 8, ok: false });
-        roundtrip(TraceEvent::PortSample {
+        v.push(TraceEvent::Reroute { flow: 8, ok: true });
+        v.push(TraceEvent::Reroute { flow: 8, ok: false });
+        v.push(TraceEvent::PortSample {
             node: 2,
             port: 3,
             qlen: 10_480,
             paused: true,
         });
         for cause in RtoCause::ALL {
-            roundtrip(TraceEvent::RtoForensic {
+            v.push(TraceEvent::RtoForensic {
                 flow: 4,
                 seq: 8_640,
                 cause,
@@ -1266,6 +1173,14 @@ mod tests {
                 port: 2,
                 root_at: SimTime::from_us(73),
             });
+        }
+        v
+    }
+
+    #[test]
+    fn every_variant_roundtrips() {
+        for ev in sample_events() {
+            roundtrip(ev);
         }
     }
 
@@ -1275,6 +1190,23 @@ mod tests {
             label: "odd \"label\" with \\ and \n newline".into(),
             seed: 0,
         });
+    }
+
+    #[test]
+    fn every_rfc8259_escape_decodes() {
+        let line = r#"{"t":1,"ev":"run_start","label":"a\tb\/c\rd\ud83d\ude00","seed":0}"#;
+        let (_, ev) = TraceEvent::from_jsonl(line).expect("escapes decode");
+        assert_eq!(
+            ev,
+            TraceEvent::RunStart {
+                label: "a\tb/c\rd\u{1F600}".into(),
+                seed: 0,
+            }
+        );
+        for bad in [r#"\ud83d"#, r#"\q"#] {
+            let line = format!(r#"{{"t":1,"ev":"run_start","label":"{bad}","seed":0}}"#);
+            assert!(TraceEvent::from_jsonl(&line).is_none(), "accepted {line}");
+        }
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! deviating figure. This crate records the packet/flow lifecycle as
 //! structured [`TraceEvent`]s flowing through pluggable [`TraceSink`]s:
 //!
-//! - [`RingSink`]: bounded in-memory ring of the most recent events,
 //! - [`CountingSink`]: per-switch and global aggregation (no event storage),
 //! - [`JsonlSink`]: hand-rolled JSON-lines file/byte output (no serde),
 //! - [`BufferSink`]: in-memory JSONL buffer that is `Send`, so parallel
 //!   workers can trace privately and hand bytes back for an ordered merge,
 //! - [`SeriesSink`]: per-port time series of queue depth, pause state, and
-//!   cumulative drops, built from periodic `PortSample` events,
-//! - [`FanoutSink`]: duplicates events into several sinks.
+//!   cumulative drops, built from periodic `PortSample` events.
 //!
 //! Producers hold a [`Tracer`] — a cheap clone-able handle that is a single
 //! `Option` check (and no event construction) when tracing is disabled, so
@@ -70,8 +68,6 @@ pub use profile::{
 pub use registry::{metrics_summary, Hist, Registry, METRICS_SCHEMA};
 pub use series::{PortKey, SeriesPoint, SeriesSink};
 pub use serve::{serve_summary, ServeReport, SERVE_SCHEMA};
-pub use sink::{
-    BufferSink, CountingSink, FanoutSink, JsonlSink, NodeCounts, RingSink, TraceCounts, TraceSink,
-};
+pub use sink::{BufferSink, CountingSink, JsonlSink, NodeCounts, TraceCounts, TraceSink};
 pub use spans::{spans_summary, FlowSpan, RequestSpan, SpanReport, StallSpan, SPANS_SCHEMA};
 pub use tracer::Tracer;

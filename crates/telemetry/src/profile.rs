@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use eventsim::SimTime;
+use json::Cursor;
 
 use crate::registry::{self, Registry};
 
@@ -199,14 +200,14 @@ impl TimeSeries {
         s.push_str("]}");
     }
 
-    pub(crate) fn parse(p: &mut registry::Parser) -> Result<TimeSeries, String> {
+    pub(crate) fn parse(p: &mut Cursor) -> Result<TimeSeries, String> {
         p.expect('{')?;
         let mut window = 0u64;
         let mut buckets: Vec<SeriesBucket> = Vec::new();
         loop {
             let key = p.string()?;
             p.expect(':')?;
-            match key.as_str() {
+            match key.as_ref() {
                 "window_ns" => window = p.number()?,
                 "buckets" => {
                     p.expect('[')?;
@@ -222,15 +223,15 @@ impl TimeSeries {
                             let max = p.number()?;
                             p.expect(']')?;
                             if i >= SERIES_MAX_BUCKETS {
-                                return Err(format!(
+                                return Err(p.error(&format!(
                                     "series bucket index {i} exceeds cap {SERIES_MAX_BUCKETS}"
-                                ));
+                                )));
                             }
                             if i >= buckets.len() {
                                 buckets.resize(i + 1, SeriesBucket::default());
                             }
                             if !buckets[i].is_empty() {
-                                return Err(format!("duplicate series bucket index {i}"));
+                                return Err(p.error(&format!("duplicate series bucket index {i}")));
                             }
                             buckets[i] = SeriesBucket { sum, count, max };
                             if !p.comma()? {
@@ -240,7 +241,7 @@ impl TimeSeries {
                     }
                     p.expect(']')?;
                 }
-                _ => return Err(format!("unknown series field {key:?}")),
+                _ => return Err(p.error(&format!("unknown series field {key:?}"))),
             }
             if !p.comma()? {
                 break;
@@ -248,7 +249,7 @@ impl TimeSeries {
         }
         p.expect('}')?;
         if !window.is_power_of_two() {
-            return Err(format!("series window_ns {window} is not a power of two"));
+            return Err(p.error(&format!("series window_ns {window} is not a power of two")));
         }
         Ok(TimeSeries {
             window_ns: window,
@@ -318,7 +319,7 @@ impl Profile {
             }
             first = false;
             s.push_str("\n    ");
-            registry::push_json_string(&mut s, k);
+            json::push_str(&mut s, k);
             s.push_str(": ");
             ts.push_json(&mut s);
         }
@@ -329,57 +330,30 @@ impl Profile {
         s
     }
 
-    /// Parses a `tlt-profile/v1` JSON export, reporting why a malformed or
-    /// truncated file was rejected.
+    /// Parses a `tlt-profile/v1` JSON export, reporting why (and where) a
+    /// malformed or truncated file was rejected.
     pub fn parse(text: &str) -> Result<Profile, String> {
-        let mut p = registry::Parser::new(text);
         let mut prof = Profile::new();
-        let mut saw_schema = false;
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            if key == "schema" {
-                let got = p.string()?;
-                if got != PROFILE_SCHEMA {
-                    return Err(format!(
-                        "schema mismatch: expected {PROFILE_SCHEMA:?}, found {got:?}"
-                    ));
-                }
-                saw_schema = true;
-            } else if key == "series" {
-                p.expect('{')?;
-                if !p.peek_close('}') {
-                    loop {
-                        let name = p.string()?;
-                        p.expect(':')?;
-                        let ts = TimeSeries::parse(&mut p)
-                            .map_err(|e| format!("series {name:?}: {e}"))?;
-                        prof.series.insert(name, ts);
-                        if !p.comma()? {
-                            break;
-                        }
+        registry::parse_document(text, PROFILE_SCHEMA, |p, key| {
+            if key != "series" {
+                return registry::parse_body_key(p, &mut prof.reg, key);
+            }
+            p.expect('{')?;
+            if !p.peek_close('}') {
+                loop {
+                    let name = p.string()?.into_owned();
+                    p.expect(':')?;
+                    let ts = TimeSeries::parse(p).map_err(|e| format!("series {name:?}: {e}"))?;
+                    prof.series.insert(name, ts);
+                    if !p.comma()? {
+                        break;
                     }
                 }
-                p.expect('}')?;
-            } else if !registry::parse_body_key(&mut p, &mut prof.reg, &key)? {
-                return Err(format!("unknown key {key:?} in profile JSON"));
             }
-            if !p.comma()? {
-                break;
-            }
-        }
-        p.expect('}')?;
-        p.end()?;
-        if !saw_schema {
-            return Err("missing \"schema\" key".to_string());
-        }
+            p.expect('}')?;
+            Ok(true)
+        })?;
         Ok(prof)
-    }
-
-    /// Parses a `tlt-profile/v1` JSON export; `None` on any failure.
-    pub fn from_json(text: &str) -> Option<Profile> {
-        Profile::parse(text).ok()
     }
 
     /// Renders the human-readable observatory table: provenance, the
@@ -569,7 +543,6 @@ mod tests {
         let back = Profile::parse(&json).expect("parses");
         assert_eq!(back, p);
         assert_eq!(back.to_json(), json);
-        assert!(Profile::from_json(&json).is_some());
     }
 
     #[test]

@@ -25,6 +25,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use json::Cursor;
+
 /// Export schema identifier written by [`Registry::to_json`].
 pub const METRICS_SCHEMA: &str = "tlt-metrics/v1";
 
@@ -395,7 +397,7 @@ impl Registry {
             }
             first = false;
             s.push_str("\n    ");
-            push_json_string(s, k);
+            json::push_str(s, k);
             let _ = write!(
                 s,
                 ": {{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
@@ -441,45 +443,14 @@ impl Registry {
         s
     }
 
-    /// Parses a `tlt-metrics/v1` JSON export, reporting *why* (and roughly
-    /// where) a malformed or truncated file was rejected.
+    /// Parses a `tlt-metrics/v1` JSON export, reporting *why* (and where)
+    /// a malformed or truncated file was rejected.
     pub fn parse(text: &str) -> Result<Registry, String> {
-        let mut p = Parser::new(text);
         let mut reg = Registry::new();
-        let mut saw_schema = false;
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            if key == "schema" {
-                let got = p.string()?;
-                if got != METRICS_SCHEMA {
-                    return Err(format!(
-                        "schema mismatch: expected {METRICS_SCHEMA:?}, found {got:?}"
-                    ));
-                }
-                saw_schema = true;
-            } else if !parse_body_key(&mut p, &mut reg, &key)? {
-                return Err(format!("unknown key {key:?} in metrics JSON"));
-            }
-            if !p.comma()? {
-                break;
-            }
-        }
-        p.expect('}')?;
-        p.end()?;
-        if !saw_schema {
-            return Err("missing \"schema\" key".to_string());
-        }
+        parse_document(text, METRICS_SCHEMA, |p, key| {
+            parse_body_key(p, &mut reg, key)
+        })?;
         Ok(reg)
-    }
-
-    /// Parses a `tlt-metrics/v1` JSON export.
-    ///
-    /// Returns `None` on malformed input or a wrong schema tag; use
-    /// [`Registry::parse`] when the caller wants the diagnostic.
-    pub fn from_json(text: &str) -> Option<Registry> {
-        Registry::parse(text).ok()
     }
 
     /// Renders a human-readable summary (used by `trace_inspect --metrics`).
@@ -540,28 +511,66 @@ pub fn metrics_summary(text: &str) -> Result<String, String> {
     Ok(reg.render())
 }
 
+/// Reads one artifact document: a top-level object whose `"schema"` must
+/// be `schema`, with every other key handed to `body` (`Ok(false)` means
+/// the key is unknown). Shared by the metrics, profile, serve and spans
+/// parsers; every error names a line and a byte.
+pub(crate) fn parse_document(
+    text: &str,
+    schema: &str,
+    mut body: impl FnMut(&mut Cursor, &str) -> Result<bool, String>,
+) -> Result<(), String> {
+    let mut p = Cursor::new(text);
+    let mut saw_schema = false;
+    p.expect('{')?;
+    loop {
+        let key = p.string()?;
+        p.expect(':')?;
+        if key == "schema" {
+            let got = p.string()?;
+            if got != schema {
+                return Err(p.error(&format!(
+                    "schema mismatch: expected {schema:?}, found {got:?}"
+                )));
+            }
+            saw_schema = true;
+        } else if !body(&mut p, &key)? {
+            return Err(p.error(&format!("unknown key {key:?} in {schema} JSON")));
+        }
+        if !p.comma()? {
+            break;
+        }
+    }
+    p.expect('}')?;
+    p.end()?;
+    if !saw_schema {
+        return Err(p.error("missing \"schema\" key"));
+    }
+    Ok(())
+}
+
 /// Dispatches one top-level body key (`meta`/`counters`/`gauges`/`hists`)
 /// into `reg`. `Ok(false)` means the key is not a body section; the caller
-/// decides whether that is an error. Shared by the metrics and profile
-/// schema parsers.
+/// decides whether that is an error. Shared by the metrics, profile, serve
+/// and spans schema parsers.
 pub(crate) fn parse_body_key(
-    p: &mut Parser,
+    p: &mut Cursor,
     reg: &mut Registry,
     key: &str,
 ) -> Result<bool, String> {
     match key {
         "meta" => {
-            for (k, v) in p.string_map()? {
+            for (k, v) in string_map(p)? {
                 reg.meta.insert(k, v);
             }
         }
         "counters" => {
-            for (k, v) in p.scalar_map()? {
+            for (k, v) in scalar_map(p)? {
                 reg.counters.insert(k, v);
             }
         }
         "gauges" => {
-            for (k, v) in p.scalar_map()? {
+            for (k, v) in scalar_map(p)? {
                 reg.gauges.insert(k, v);
             }
         }
@@ -569,9 +578,9 @@ pub(crate) fn parse_body_key(
             p.expect('{')?;
             if !p.peek_close('}') {
                 loop {
-                    let name = p.string()?;
+                    let name = p.string()?.into_owned();
                     p.expect(':')?;
-                    let h = p.hist().map_err(|e| format!("hist {name:?}: {e}"))?;
+                    let h = hist(p).map_err(|e| format!("hist {name:?}: {e}"))?;
                     reg.hists.insert(name, h);
                     if !p.comma()? {
                         break;
@@ -585,6 +594,84 @@ pub(crate) fn parse_body_key(
     Ok(true)
 }
 
+/// `{ "name": 1, ... }`
+fn scalar_map(p: &mut Cursor) -> Result<Vec<(String, u64)>, String> {
+    p.expect('{')?;
+    let mut out = Vec::new();
+    if !p.peek_close('}') {
+        loop {
+            let k = p.string()?.into_owned();
+            p.expect(':')?;
+            out.push((k, p.number()?));
+            if !p.comma()? {
+                break;
+            }
+        }
+    }
+    p.expect('}')?;
+    Ok(out)
+}
+
+/// `{ "name": "value", ... }`
+fn string_map(p: &mut Cursor) -> Result<Vec<(String, String)>, String> {
+    p.expect('{')?;
+    let mut out = Vec::new();
+    if !p.peek_close('}') {
+        loop {
+            let k = p.string()?.into_owned();
+            p.expect(':')?;
+            out.push((k, p.string()?.into_owned()));
+            if !p.comma()? {
+                break;
+            }
+        }
+    }
+    p.expect('}')?;
+    Ok(out)
+}
+
+/// `{"count":N,"sum":N,"min":N,"max":N,"buckets":[[lo,n],..]}`
+fn hist(p: &mut Cursor) -> Result<Hist, String> {
+    p.expect('{')?;
+    let (mut count, mut sum, mut min, mut max) = (0, 0, 0, 0);
+    let mut pairs = Vec::new();
+    loop {
+        let key = p.string()?;
+        p.expect(':')?;
+        match key.as_ref() {
+            "count" => count = p.number()?,
+            "sum" => sum = p.number()?,
+            "min" => min = p.number()?,
+            "max" => max = p.number()?,
+            "buckets" => {
+                p.expect('[')?;
+                if !p.peek_close(']') {
+                    loop {
+                        p.expect('[')?;
+                        let lo = p.number()?;
+                        p.expect(',')?;
+                        let n = p.number()?;
+                        p.expect(']')?;
+                        pairs.push((lo, n));
+                        if !p.comma()? {
+                            break;
+                        }
+                    }
+                }
+                p.expect(']')?;
+            }
+            _ => return Err(p.error(&format!("unknown hist field {key:?}"))),
+        }
+        if !p.comma()? {
+            break;
+        }
+    }
+    p.expect('}')?;
+    Hist::from_parts(count, sum, min, max, &pairs).ok_or_else(|| {
+        p.error("bucket data inconsistent with summary (bad boundary, count mismatch, or overflow)")
+    })
+}
+
 pub(crate) fn push_scalar_map(s: &mut String, map: &BTreeMap<String, u64>) {
     let mut first = true;
     for (k, v) in map {
@@ -593,7 +680,7 @@ pub(crate) fn push_scalar_map(s: &mut String, map: &BTreeMap<String, u64>) {
         }
         first = false;
         s.push_str("\n    ");
-        push_json_string(s, k);
+        json::push_str(s, k);
         let _ = write!(s, ": {v}");
     }
     if !map.is_empty() {
@@ -609,252 +696,13 @@ pub(crate) fn push_string_map(s: &mut String, map: &BTreeMap<String, String>) {
         }
         first = false;
         s.push_str("\n    ");
-        push_json_string(s, k);
+        json::push_str(s, k);
         s.push_str(": ");
-        push_json_string(s, v);
+        json::push_str(s, v);
     }
     if !map.is_empty() {
         s.push_str("\n  ");
     }
-}
-
-/// Appends `v` as a JSON string literal, escaping `"`, `\` and control
-/// characters — the one escaper every artifact writer shares.
-pub fn push_json_string(s: &mut String, v: &str) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// A minimal cursor parser for the exact JSON shape `to_json` emits
-/// (objects of strings/numbers plus `[[lo,count],..]` bucket arrays).
-/// Every method reports failures as `Err(diagnostic)` — never a panic —
-/// so truncated or corrupt files surface as clean error messages.
-pub(crate) struct Parser<'a> {
-    bytes: &'a [u8],
-    text: &'a str,
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    pub(crate) fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            text,
-            i: 0,
-        }
-    }
-
-    fn fail<T>(&self, what: &str) -> Result<T, String> {
-        // `string()` steps over an escape pair, so a document cut right
-        // after a backslash leaves the cursor one past the end.
-        let i = self.i.min(self.bytes.len());
-        if i == self.bytes.len() {
-            return Err(format!("{what} at byte {i} (unexpected end of input)"));
-        }
-        let end = (i + 24).min(self.bytes.len());
-        let near = String::from_utf8_lossy(&self.bytes[i..end]);
-        Err(format!("{what} at byte {i} (near {near:?})"))
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.bytes.len() && self.bytes[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    pub(crate) fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.i) == Some(&(c as u8)) {
-            self.i += 1;
-            Ok(())
-        } else {
-            self.fail(&format!("expected {c:?}"))
-        }
-    }
-
-    /// Consumes a comma if present; `Ok(false)` means the container ends.
-    pub(crate) fn comma(&mut self) -> Result<bool, String> {
-        self.skip_ws();
-        match self.bytes.get(self.i) {
-            Some(b',') => {
-                self.i += 1;
-                Ok(true)
-            }
-            Some(b'}') | Some(b']') => Ok(false),
-            _ => self.fail("expected ',' or a closing bracket"),
-        }
-    }
-
-    pub(crate) fn peek_close(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.i) == Some(&(c as u8))
-    }
-
-    /// Fails unless only whitespace remains.
-    pub(crate) fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.i < self.bytes.len() {
-            self.fail("trailing data after document")
-        } else {
-            Ok(())
-        }
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let start = self.i;
-        while self.i < self.bytes.len() {
-            match self.bytes[self.i] {
-                b'\\' => self.i += 2,
-                b'"' => {
-                    let raw = &self.text[start..self.i];
-                    self.i += 1;
-                    return match unescape(raw) {
-                        Some(s) => Ok(s),
-                        None => self.fail("bad string escape"),
-                    };
-                }
-                _ => self.i += 1,
-            }
-        }
-        self.fail("unterminated string")
-    }
-
-    pub(crate) fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.bytes.len() && self.bytes[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        if start == self.i {
-            return self.fail("expected a number");
-        }
-        match self.text[start..self.i].parse() {
-            Ok(v) => Ok(v),
-            Err(_) => self.fail("number out of range"),
-        }
-    }
-
-    /// `{ "name": 1, ... }`
-    pub(crate) fn scalar_map(&mut self) -> Result<Vec<(String, u64)>, String> {
-        self.expect('{')?;
-        let mut out = Vec::new();
-        if !self.peek_close('}') {
-            loop {
-                let k = self.string()?;
-                self.expect(':')?;
-                let v = self.number()?;
-                out.push((k, v));
-                if !self.comma()? {
-                    break;
-                }
-            }
-        }
-        self.expect('}')?;
-        Ok(out)
-    }
-
-    /// `{ "name": "value", ... }`
-    pub(crate) fn string_map(&mut self) -> Result<Vec<(String, String)>, String> {
-        self.expect('{')?;
-        let mut out = Vec::new();
-        if !self.peek_close('}') {
-            loop {
-                let k = self.string()?;
-                self.expect(':')?;
-                let v = self.string()?;
-                out.push((k, v));
-                if !self.comma()? {
-                    break;
-                }
-            }
-        }
-        self.expect('}')?;
-        Ok(out)
-    }
-
-    /// `{"count":N,"sum":N,"min":N,"max":N,"buckets":[[lo,n],..]}`
-    pub(crate) fn hist(&mut self) -> Result<Hist, String> {
-        self.expect('{')?;
-        let (mut count, mut sum, mut min, mut max) = (0, 0, 0, 0);
-        let mut pairs = Vec::new();
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            match key.as_str() {
-                "count" => count = self.number()?,
-                "sum" => sum = self.number()?,
-                "min" => min = self.number()?,
-                "max" => max = self.number()?,
-                "buckets" => {
-                    self.expect('[')?;
-                    if !self.peek_close(']') {
-                        loop {
-                            self.expect('[')?;
-                            let lo = self.number()?;
-                            self.expect(',')?;
-                            let n = self.number()?;
-                            self.expect(']')?;
-                            pairs.push((lo, n));
-                            if !self.comma()? {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(']')?;
-                }
-                _ => return self.fail(&format!("unknown hist field {key:?}")),
-            }
-            if !self.comma()? {
-                break;
-            }
-        }
-        self.expect('}')?;
-        match Hist::from_parts(count, sum, min, max, &pairs) {
-            Some(h) => Ok(h),
-            None => Err(
-                "bucket data inconsistent with summary (bad boundary, count mismatch, or overflow)"
-                    .to_string(),
-            ),
-        }
-    }
-}
-
-fn unescape(raw: &str) -> Option<String> {
-    if !raw.contains('\\') {
-        return Some(raw.to_string());
-    }
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -1022,7 +870,7 @@ mod tests {
         // And the merged histogram survives a JSON round-trip.
         let mut r = Registry::new();
         r.hists.insert("edges".to_string(), a);
-        let back = Registry::from_json(&r.to_json()).expect("parses");
+        let back = Registry::parse(&r.to_json()).expect("parses");
         assert_eq!(back, r);
     }
 
@@ -1107,7 +955,7 @@ mod tests {
             r.observe("pfc_pause_ns/n0/p1", v);
         }
         let json = r.to_json();
-        let back = Registry::from_json(&json).expect("parses");
+        let back = Registry::parse(&json).expect("parses");
         assert_eq!(back, r);
         // Byte-stable: re-serializing the parsed registry is identical.
         assert_eq!(back.to_json(), json);
@@ -1127,7 +975,7 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"meta\""), "{json}");
         assert!(json.contains("\"scale\": \"quick\""), "{json}");
-        let back = Registry::from_json(&json).expect("parses");
+        let back = Registry::parse(&json).expect("parses");
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json);
         assert_eq!(back.meta_get("jobs"), Some("any"));
@@ -1155,7 +1003,7 @@ mod tests {
             r#"{"schema": "tlt-metrics/v1", "hists": {"h": {"count":2,"sum":0,"min":0,"max":0,"buckets":[[0,1]]}}}"#, // bucket total != count
             r#"{"schema": "tlt-metrics/v1", "hists": {"h": {"count":1,"sum":17,"min":17,"max":17,"buckets":[[17,1]]}}}"#, // 17 is not a bucket boundary
         ] {
-            assert!(Registry::from_json(bad).is_none(), "accepted {bad:?}");
+            assert!(Registry::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -1178,7 +1026,9 @@ mod tests {
         let mut spans = crate::SpanReport::new();
         spans.reg = r.clone();
         // Truncation at every prefix length must fail cleanly, never panic,
-        // in each of the four artifact parsers.
+        // and replacing any one byte with a structural byte must not panic
+        // either, in each of the four artifact parsers and the trace-line
+        // decoder.
         let every_cut_fails = |doc: &str, parses: &dyn Fn(&str) -> bool| {
             assert!(parses(doc), "rejected the intact document {doc}");
             for cut in 0..doc.len() - 1 {
@@ -1186,11 +1036,24 @@ mod tests {
                     assert!(!parses(&doc[..cut]), "accepted truncation at {cut}");
                 }
             }
+            for i in 0..doc.len() {
+                for flip in *b"\"\\{}[],0x" {
+                    let mut bytes = doc.as_bytes().to_vec();
+                    bytes[i] = flip;
+                    if let Ok(text) = String::from_utf8(bytes) {
+                        parses(&text);
+                    }
+                }
+            }
         };
         every_cut_fails(&json, &|t| Registry::parse(t).is_ok());
         every_cut_fails(&prof.to_json(), &|t| crate::Profile::parse(t).is_ok());
         every_cut_fails(&serve.to_json(), &|t| crate::ServeReport::parse(t).is_ok());
         every_cut_fails(&spans.to_json(), &|t| crate::SpanReport::parse(t).is_ok());
+        for ev in crate::event::tests::sample_events() {
+            let line = ev.to_jsonl(eventsim::SimTime::from_ns(99));
+            every_cut_fails(&line, &|t| crate::TraceEvent::from_jsonl(t).is_some());
+        }
         // Diagnostics carry a position and a reason.
         let err = Registry::parse(&json[..json.len() / 2]).unwrap_err();
         assert!(err.contains("byte"), "no position in {err:?}");
@@ -1205,6 +1068,15 @@ mod tests {
         );
         let err = Registry::parse(&overflow).unwrap_err();
         assert!(err.contains("hist"), "{err}");
+        // Every RFC 8259 escape decodes; a bad one is reported at its own
+        // line and byte.
+        let doc = "{\"schema\": \"tlt-metrics/v1\",\n  \"meta\": {\"k\": \"a\\tb\\/c\\rd\\ud83d\\ude00\"}}";
+        let reg = Registry::parse(doc).unwrap();
+        assert_eq!(reg.meta_get("k"), Some("a\tb/c\rd\u{1F600}"));
+        let bad = doc.replace("\\t", "\\q");
+        let err = Registry::parse(&bad).unwrap_err();
+        let at = format!("at line 2, byte {}", bad.find('\\').unwrap());
+        assert!(err.contains(&at), "{err} lacks {at:?}");
         // Trailing garbage after the document is rejected.
         let trailing = format!("{json}garbage");
         assert!(Registry::parse(&trailing).is_err());

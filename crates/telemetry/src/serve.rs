@@ -72,42 +72,14 @@ impl ServeReport {
         s
     }
 
-    /// Parses a `tlt-serve/v1` JSON export, reporting why (and roughly
-    /// where) a malformed or truncated file was rejected.
+    /// Parses a `tlt-serve/v1` JSON export, reporting why (and where) a
+    /// malformed or truncated file was rejected.
     pub fn parse(text: &str) -> Result<ServeReport, String> {
-        let mut p = registry::Parser::new(text);
         let mut rep = ServeReport::new();
-        let mut saw_schema = false;
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            if key == "schema" {
-                let got = p.string()?;
-                if got != SERVE_SCHEMA {
-                    return Err(format!(
-                        "schema mismatch: expected {SERVE_SCHEMA:?}, found {got:?}"
-                    ));
-                }
-                saw_schema = true;
-            } else if !registry::parse_body_key(&mut p, &mut rep.reg, &key)? {
-                return Err(format!("unknown key {key:?} in serve JSON"));
-            }
-            if !p.comma()? {
-                break;
-            }
-        }
-        p.expect('}')?;
-        p.end()?;
-        if !saw_schema {
-            return Err("missing \"schema\" key".to_string());
-        }
+        registry::parse_document(text, SERVE_SCHEMA, |p, key| {
+            registry::parse_body_key(p, &mut rep.reg, key)
+        })?;
         Ok(rep)
-    }
-
-    /// Parses a `tlt-serve/v1` JSON export; `None` on any failure.
-    pub fn from_json(text: &str) -> Option<ServeReport> {
-        ServeReport::parse(text).ok()
     }
 
     /// The scheme labels that recorded a latency histogram, in name order.
@@ -223,7 +195,6 @@ mod tests {
         let back = ServeReport::parse(&json).expect("parses");
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json);
-        assert!(ServeReport::from_json(&json).is_some());
     }
 
     #[test]

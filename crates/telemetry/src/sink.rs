@@ -1,6 +1,6 @@
 //! Trace sinks: where emitted events go.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{self, Write};
 
 use eventsim::SimTime;
@@ -17,51 +17,6 @@ pub trait TraceSink {
 
     /// Flushes buffered output, if any.
     fn flush(&mut self) {}
-}
-
-/// A bounded ring of the most recent events, for post-mortem inspection in
-/// tests and interactive debugging.
-pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<(SimTime, TraceEvent)>,
-    /// Events evicted because the ring was full.
-    pub evicted: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `cap` events (`cap` ≥ 1).
-    pub fn new(cap: usize) -> RingSink {
-        RingSink {
-            cap: cap.max(1),
-            buf: VecDeque::with_capacity(cap.clamp(1, 4096)),
-            evicted: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(SimTime, TraceEvent)> {
-        self.buf.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, t: SimTime, ev: &TraceEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.evicted += 1;
-        }
-        self.buf.push_back((t, ev.clone()));
-    }
 }
 
 /// Aggregate counters maintained by [`CountingSink`], both globally and per
@@ -315,40 +270,6 @@ impl TraceSink for BufferSink {
     }
 }
 
-/// Duplicates every event into several sinks (e.g. a JSONL file plus a
-/// counting cross-check).
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Box<dyn TraceSink>>,
-}
-
-impl FanoutSink {
-    /// An empty fanout; add sinks with [`FanoutSink::push`].
-    pub fn new() -> FanoutSink {
-        FanoutSink::default()
-    }
-
-    /// Adds a sink (builder style).
-    pub fn push(mut self, sink: impl TraceSink + 'static) -> FanoutSink {
-        self.sinks.push(Box::new(sink));
-        self
-    }
-}
-
-impl TraceSink for FanoutSink {
-    fn record(&mut self, t: SimTime, ev: &TraceEvent) {
-        for s in &mut self.sinks {
-            s.record(t, ev);
-        }
-    }
-
-    fn flush(&mut self) {
-        for s in &mut self.sinks {
-            s.flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,27 +283,6 @@ mod tests {
             why,
             green,
         }
-    }
-
-    #[test]
-    fn ring_bounds_and_counts_evictions() {
-        let mut ring = RingSink::new(3);
-        for i in 0..5u32 {
-            ring.record(
-                SimTime::from_ns(u64::from(i)),
-                &TraceEvent::FlowEnd { flow: i },
-            );
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.evicted, 2);
-        let flows: Vec<u32> = ring
-            .events()
-            .map(|(_, ev)| match ev {
-                TraceEvent::FlowEnd { flow } => *flow,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(flows, vec![2, 3, 4], "oldest events evicted first");
     }
 
     #[test]
@@ -479,22 +379,5 @@ mod tests {
         // JsonlSink encoding; take_bytes leaves the sink reusable.
         let bytes = std::thread::spawn(move || buf.take_bytes()).join().unwrap();
         assert_eq!(bytes, jsonl.into_inner());
-    }
-
-    #[test]
-    fn fanout_duplicates_into_all_children() {
-        let counts = std::rc::Rc::new(std::cell::RefCell::new(CountingSink::default()));
-        struct Shared(std::rc::Rc<std::cell::RefCell<CountingSink>>);
-        impl TraceSink for Shared {
-            fn record(&mut self, t: SimTime, ev: &TraceEvent) {
-                self.0.borrow_mut().record(t, ev);
-            }
-        }
-        let mut fan = FanoutSink::new()
-            .push(Shared(counts.clone()))
-            .push(Shared(counts.clone()));
-        fan.record(SimTime::ZERO, &drop_ev(0, DropWhy::Dynamic, false));
-        fan.flush();
-        assert_eq!(counts.borrow().totals.drops_dt, 2);
     }
 }

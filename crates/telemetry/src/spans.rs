@@ -31,7 +31,8 @@
 use std::fmt::Write as _;
 
 use crate::event::{Phase, PhaseTimes};
-use crate::registry::{self, Parser, Registry};
+use crate::registry::{self, Registry};
+use json::Cursor;
 
 /// Export schema identifier written by [`SpanReport::to_json`].
 pub const SPANS_SCHEMA: &str = "tlt-spans/v1";
@@ -231,53 +232,27 @@ impl SpanReport {
         s
     }
 
-    /// Parses a `tlt-spans/v1` JSON export, reporting why (and roughly
-    /// where) a malformed or truncated file was rejected.
+    /// Parses a `tlt-spans/v1` JSON export, reporting why (and where) a
+    /// malformed or truncated file was rejected.
     pub fn parse(text: &str) -> Result<SpanReport, String> {
-        let mut p = Parser::new(text);
         let mut rep = SpanReport::new();
-        let mut saw_schema = false;
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            if key == "schema" {
-                let got = p.string()?;
-                if got != SPANS_SCHEMA {
-                    return Err(format!(
-                        "schema mismatch: expected {SPANS_SCHEMA:?}, found {got:?}"
-                    ));
-                }
-                saw_schema = true;
-            } else if key == "spans" {
-                p.expect('[')?;
-                if !p.peek_close(']') {
-                    loop {
-                        rep.spans.push(parse_span(&mut p)?);
-                        if !p.comma()? {
-                            break;
-                        }
+        registry::parse_document(text, SPANS_SCHEMA, |p, key| {
+            if key != "spans" {
+                return registry::parse_body_key(p, &mut rep.reg, key);
+            }
+            p.expect('[')?;
+            if !p.peek_close(']') {
+                loop {
+                    rep.spans.push(parse_span(p)?);
+                    if !p.comma()? {
+                        break;
                     }
                 }
-                p.expect(']')?;
-            } else if !registry::parse_body_key(&mut p, &mut rep.reg, &key)? {
-                return Err(format!("unknown key {key:?} in spans JSON"));
             }
-            if !p.comma()? {
-                break;
-            }
-        }
-        p.expect('}')?;
-        p.end()?;
-        if !saw_schema {
-            return Err("missing \"schema\" key".to_string());
-        }
+            p.expect(']')?;
+            Ok(true)
+        })?;
         Ok(rep)
-    }
-
-    /// Parses a `tlt-spans/v1` JSON export; `None` on any failure.
-    pub fn from_json(text: &str) -> Option<SpanReport> {
-        SpanReport::parse(text).ok()
     }
 
     /// Renders the per-scheme "phase × percentile" table (where p50 vs p99
@@ -397,7 +372,7 @@ impl SpanReport {
             }
             first = false;
             s.push_str("\n{\"name\":");
-            registry::push_json_string(s, name);
+            json::push_str(s, name);
             let _ = write!(
                 s,
                 ",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{pid},\"tid\":{tid}}}"
@@ -465,7 +440,7 @@ fn push_phases(s: &mut String, phases: &PhaseTimes) {
 
 fn push_span(s: &mut String, span: &RequestSpan) {
     s.push_str("{\"scheme\":");
-    registry::push_json_string(s, &span.scheme);
+    json::push_str(s, &span.scheme);
     let _ = write!(
         s,
         ",\"seed\":{},\"req\":{},\"start\":{},\"lat\":{},\"dom\":\"{}\",\"flows\":[",
@@ -480,7 +455,7 @@ fn push_span(s: &mut String, span: &RequestSpan) {
             s.push(',');
         }
         let _ = write!(s, "{{\"id\":{},\"role\":", flow.id);
-        registry::push_json_string(s, &flow.role);
+        json::push_str(s, &flow.role);
         let _ = write!(
             s,
             ",\"start\":{},\"end\":{},\"phases\":",
@@ -505,19 +480,19 @@ fn push_span(s: &mut String, span: &RequestSpan) {
     s.push_str("]}");
 }
 
-fn parse_phase_tag(tag: &str) -> Result<Phase, String> {
-    Phase::parse(tag).ok_or_else(|| format!("unknown phase tag {tag:?}"))
+fn parse_phase_tag(p: &mut Cursor) -> Result<Phase, String> {
+    let tag = p.string()?;
+    Phase::parse(&tag).ok_or_else(|| p.error(&format!("unknown phase tag {tag:?}")))
 }
 
-fn parse_phases(p: &mut Parser) -> Result<PhaseTimes, String> {
+fn parse_phases(p: &mut Cursor) -> Result<PhaseTimes, String> {
     let mut out = PhaseTimes::default();
     p.expect('{')?;
     if !p.peek_close('}') {
         loop {
-            let tag = p.string()?;
+            let phase = parse_phase_tag(p)?;
             p.expect(':')?;
-            let ns = p.number()?;
-            out.add(parse_phase_tag(&tag)?, ns);
+            out.add(phase, p.number()?);
             if !p.comma()? {
                 break;
             }
@@ -527,17 +502,17 @@ fn parse_phases(p: &mut Parser) -> Result<PhaseTimes, String> {
     Ok(out)
 }
 
-fn parse_stall(p: &mut Parser) -> Result<StallSpan, String> {
+fn parse_stall(p: &mut Cursor) -> Result<StallSpan, String> {
     let (mut phase, mut start, mut dur) = (None, None, None);
     p.expect('{')?;
     loop {
         let key = p.string()?;
         p.expect(':')?;
-        match key.as_str() {
-            "phase" => phase = Some(parse_phase_tag(&p.string()?)?),
+        match key.as_ref() {
+            "phase" => phase = Some(parse_phase_tag(p)?),
             "start" => start = Some(p.number()?),
             "dur" => dur = Some(p.number()?),
-            _ => return Err(format!("unknown stall field {key:?}")),
+            _ => return Err(p.error(&format!("unknown stall field {key:?}"))),
         }
         if !p.comma()? {
             break;
@@ -550,11 +525,11 @@ fn parse_stall(p: &mut Parser) -> Result<StallSpan, String> {
             start_ns,
             dur_ns,
         }),
-        _ => Err("stall span missing phase/start/dur".to_string()),
+        _ => Err(p.error("stall span missing phase/start/dur")),
     }
 }
 
-fn parse_flow(p: &mut Parser) -> Result<FlowSpan, String> {
+fn parse_flow(p: &mut Cursor) -> Result<FlowSpan, String> {
     let mut flow = FlowSpan {
         id: 0,
         role: String::new(),
@@ -568,12 +543,12 @@ fn parse_flow(p: &mut Parser) -> Result<FlowSpan, String> {
     loop {
         let key = p.string()?;
         p.expect(':')?;
-        match key.as_str() {
+        match key.as_ref() {
             "id" => {
                 flow.id = p.number()?;
                 saw_id = true;
             }
-            "role" => flow.role = p.string()?,
+            "role" => flow.role = p.string()?.into_owned(),
             "start" => flow.start_ns = p.number()?,
             "end" => flow.end_ns = p.number()?,
             "phases" => flow.phases = parse_phases(p)?,
@@ -589,7 +564,7 @@ fn parse_flow(p: &mut Parser) -> Result<FlowSpan, String> {
                 }
                 p.expect(']')?;
             }
-            _ => return Err(format!("unknown flow-span field {key:?}")),
+            _ => return Err(p.error(&format!("unknown flow-span field {key:?}"))),
         }
         if !p.comma()? {
             break;
@@ -597,12 +572,12 @@ fn parse_flow(p: &mut Parser) -> Result<FlowSpan, String> {
     }
     p.expect('}')?;
     if !saw_id {
-        return Err("flow span missing id".to_string());
+        return Err(p.error("flow span missing id"));
     }
     Ok(flow)
 }
 
-fn parse_span(p: &mut Parser) -> Result<RequestSpan, String> {
+fn parse_span(p: &mut Cursor) -> Result<RequestSpan, String> {
     let mut span = RequestSpan {
         scheme: String::new(),
         seed: 0,
@@ -617,16 +592,16 @@ fn parse_span(p: &mut Parser) -> Result<RequestSpan, String> {
     loop {
         let key = p.string()?;
         p.expect(':')?;
-        match key.as_str() {
+        match key.as_ref() {
             "scheme" => {
-                span.scheme = p.string()?;
+                span.scheme = p.string()?.into_owned();
                 saw_scheme = true;
             }
             "seed" => span.seed = p.number()?,
             "req" => span.req = p.number()?,
             "start" => span.start_ns = p.number()?,
             "lat" => span.latency_ns = p.number()?,
-            "dom" => span.dominant = parse_phase_tag(&p.string()?)?,
+            "dom" => span.dominant = parse_phase_tag(p)?,
             "flows" => {
                 p.expect('[')?;
                 if !p.peek_close(']') {
@@ -639,7 +614,7 @@ fn parse_span(p: &mut Parser) -> Result<RequestSpan, String> {
                 }
                 p.expect(']')?;
             }
-            _ => return Err(format!("unknown request-span field {key:?}")),
+            _ => return Err(p.error(&format!("unknown request-span field {key:?}"))),
         }
         if !p.comma()? {
             break;
@@ -647,7 +622,7 @@ fn parse_span(p: &mut Parser) -> Result<RequestSpan, String> {
     }
     p.expect('}')?;
     if !saw_scheme {
-        return Err("request span missing scheme".to_string());
+        return Err(p.error("request span missing scheme"));
     }
     Ok(span)
 }
@@ -719,7 +694,6 @@ mod tests {
         let back = SpanReport::parse(&json).expect("parses");
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json);
-        assert!(SpanReport::from_json(&json).is_some());
         // Empty report round-trips too (empty spans array).
         let empty = SpanReport::new().to_json();
         assert_eq!(

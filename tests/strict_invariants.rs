@@ -1,6 +1,7 @@
-//! End-to-end exercise of the strict-invariant auditors.
+//! End-to-end exercise of the runtime invariant auditors.
 //!
-//! Built only under `--features strict-invariants`. Each scenario drives
+//! The auditors are `debug_assert!`-based, so they are live whenever debug
+//! assertions are (plain `cargo test`). Each scenario drives
 //! the engine through every drop path the conservation ledgers account —
 //! color/DT/overflow rejects at the MMU, corruption on the wire, frames
 //! destroyed by a downed link, PFC pause/resume churn — and then simply
@@ -9,8 +10,6 @@
 //! against `AggregateStats` all `debug_assert!` along the way (tests build
 //! with debug assertions on). The explicit checks below only confirm the
 //! audited paths actually ran.
-
-#![cfg(feature = "strict-invariants")]
 
 use dcsim::{small_single_switch, Engine, FaultSchedule, FlowSpec, SimConfig};
 use eventsim::SimTime;
