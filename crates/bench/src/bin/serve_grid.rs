@@ -102,7 +102,8 @@ struct GridSpec {
 
 /// Runs the scheme × load × seed grid and folds the per-request SLO
 /// accounting in plan order. The third element is the merged `tlt-spans/v1`
-/// report — `Some` only when the `ledger` feature is compiled in.
+/// report — `Some` only when the runs carried latency ledgers (the `ledger`
+/// feature is compiled in).
 fn run_grid(
     spec: &GridSpec,
     seeds: u64,
@@ -133,11 +134,9 @@ fn run_grid(
     // merge in BTreeMap key order after the run — SpanReport::merge is
     // order-independent, so the export stays byte-identical under any
     // `--jobs` value.
-    #[cfg(feature = "ledger")]
     let spans_acc: std::sync::Arc<
         std::sync::Mutex<BTreeMap<(String, u64), telemetry::SpanReport>>,
     > = Default::default();
-    #[cfg(feature = "ledger")]
     let spans_in = spans_acc.clone();
 
     let mut plan = RunPlan::sized(jobs, seeds).analyze(move |name, seed, res| {
@@ -148,8 +147,7 @@ fn run_grid(
         // violation must be backed by at least one recorded RTO.
         rep.reg
             .inc(&format!("serve_rtos/{name}"), res.forensics.len() as u64);
-        #[cfg(feature = "ledger")]
-        {
+        if res.ledger.is_some() {
             let sp = serve::account_spans(name, seed, &wl, res, params.slo);
             spans_in
                 .lock()
@@ -184,9 +182,8 @@ fn run_grid(
     rep.reg
         .set_meta("slo_ns", &spec.base.slo.as_ns().to_string());
     rep.reg.set_meta("workload", spec.base.response_cdf.name());
-    #[cfg(feature = "ledger")]
-    let spans = {
-        let map = std::mem::take(&mut *spans_acc.lock().expect("spans accumulator"));
+    let map = std::mem::take(&mut *spans_acc.lock().expect("spans accumulator"));
+    let spans = (!map.is_empty()).then(|| {
         let mut sp = telemetry::SpanReport::new();
         for frag in map.values() {
             sp.merge(frag);
@@ -195,10 +192,8 @@ fn run_grid(
         sp.reg
             .set_meta("slo_ns", &spec.base.slo.as_ns().to_string());
         sp.reg.set_meta("workload", spec.base.response_cdf.name());
-        Some(sp)
-    };
-    #[cfg(not(feature = "ledger"))]
-    let spans = None;
+        sp
+    });
     (out.results, verify_forensic_join(rep, slo), spans)
 }
 

@@ -88,7 +88,7 @@ fn jobs4_matches_jobs1_trace_bytes() {
     let mut ends = 0;
     for line in text.lines() {
         let (_, ev) = TraceEvent::from_jsonl(line)
-            .unwrap_or_else(|| panic!("unparseable trace line: {line}"));
+            .unwrap_or_else(|e| panic!("unparseable trace line: {line}: {e}"));
         match ev {
             TraceEvent::RunStart { .. } => starts += 1,
             TraceEvent::RunEnd { .. } => ends += 1,

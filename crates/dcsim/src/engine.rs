@@ -17,6 +17,7 @@ use transport::tcp::{TcpReceiver, WindowCfg, WindowSender};
 use transport::TransportKind;
 
 use crate::config::{FlowSpec, SimConfig};
+use crate::probe::{Probe, Probes};
 
 /// Aggregate counters of one simulation run.
 #[derive(Clone, Debug, Default)]
@@ -159,7 +160,8 @@ pub struct SimResult {
     pub ledger: Option<Vec<crate::latency::FlowLedgerRecord>>,
 }
 
-enum Event {
+/// One entry of the event queue.
+pub(crate) enum Event {
     FlowStart(u32),
     /// A port finished serializing a frame. Pushed only when frames are
     /// queued behind it or the port is kicked mid-frame; otherwise the
@@ -198,26 +200,6 @@ enum Event {
     Reroute,
 }
 
-#[cfg(feature = "profile")]
-impl Event {
-    /// The profiler's kind bucket for this event.
-    fn kind(&self) -> crate::profile::EvKind {
-        use crate::profile::EvKind;
-        match self {
-            Event::FlowStart(_) => EvKind::FlowStart,
-            Event::TxDone { .. } => EvKind::TxDone,
-            Event::Deliver { .. } => EvKind::Deliver,
-            Event::Timer { .. } => EvKind::Timer,
-            Event::PfcSet { .. } => EvKind::PfcSet,
-            Event::QueueSample => EvKind::QueueSample,
-            Event::TraceSample => EvKind::TraceSample,
-            Event::Fault(_) => EvKind::Fault,
-            Event::StormEnd { .. } => EvKind::StormEnd,
-            Event::Reroute => EvKind::Reroute,
-        }
-    }
-}
-
 /// Maps a transport timer slot onto the telemetry schema's id.
 fn timer_id(kind: TimerKind) -> TimerId {
     match kind {
@@ -249,8 +231,12 @@ fn timer_slot(kind: TimerKind) -> usize {
     }
 }
 
+/// Every node's ports, indexed `[node][port]`.
+pub(crate) type Ports = [Vec<PortState>];
+
+/// One egress port's transmit and PFC state.
 #[derive(Clone, Copy, Default)]
-struct PortState {
+pub(crate) struct PortState {
     busy: bool,
     /// Lazy link completion: the `(tx_end, seq)` key of this port's elided
     /// `TxDone`. A frame that starts with nothing queued behind it only
@@ -258,9 +244,9 @@ struct PortState {
     /// either finds the key already passed (the port went idle at
     /// `tx_end`) or materializes the `TxDone` under the reserved seq.
     idle_at: Option<(SimTime, u64)>,
-    paused: bool,
-    paused_since: SimTime,
-    paused_total: SimTime,
+    pub(crate) paused: bool,
+    pub(crate) paused_since: SimTime,
+    pub(crate) paused_total: SimTime,
     ever_paused: bool,
 }
 
@@ -335,23 +321,6 @@ struct FlowRuntime {
     timer_queued_at: [Option<SimTime>; TIMER_KINDS.len()],
     timer_queued_gen: [u64; TIMER_KINDS.len()],
     timer_res_seq: [u64; TIMER_KINDS.len()],
-    /// Latency-ledger state: timeline frontier, recovery mode, per-phase
-    /// accumulators, stall ring.
-    #[cfg(feature = "ledger")]
-    lg: crate::latency::FlowLedger,
-}
-
-/// Cumulative time `(node, port)` has spent PFC-paused up to `now`. The
-/// latency ledger snapshots this at wait-begin and diffs it at dequeue, so
-/// the PFC share of any wait costs two u64 reads, never a timeline walk.
-#[cfg(feature = "ledger")]
-fn pause_cum_ns(ps: &PortState, now: SimTime) -> u64 {
-    ps.paused_total.as_ns()
-        + if ps.paused {
-            (now - ps.paused_since).as_ns()
-        } else {
-            0
-        }
 }
 
 /// The simulation engine. See the crate docs for an end-to-end example.
@@ -389,16 +358,9 @@ pub struct Engine {
     forensics: Vec<RtoForensicRec>,
     /// Metrics registry; `None` unless [`Engine::set_metrics`] was called.
     metrics: Option<MetricsState>,
-    /// Strict-invariant conservation ledger: engine-side per-link and
-    /// per-drop-reason accounting, audited against [`AggregateStats`] at
-    /// drain time.
-    #[cfg(debug_assertions)]
-    ledger: crate::ledger::ConservationLedger,
-    /// Event-level profiler: per-kind schedule/execute tallies, fan-out and
-    /// queue-depth histograms, and sim-time series. Created in `new` (like
-    /// the ledger) so constructor-time scheduling is counted too.
-    #[cfg(feature = "profile")]
-    prof: crate::profile::EngineProf,
+    /// The instruments this build carries (profiler, latency ledger,
+    /// conservation auditor), fed through the hooks of [`Probe`].
+    probe: Probes,
 }
 
 impl Engine {
@@ -463,12 +425,6 @@ impl Engine {
         // queue depths around 125k on the family-mix workloads) instead of
         // regrowing mid-run; small runs stay small via the per-flow term.
         let queue_cap = (specs.len().saturating_mul(32) + 256).min(1 << 17);
-        let mut queue = EventQueue::with_capacity(queue_cap);
-        // Constructor-time scheduling happens before the engine (and its
-        // `sched` shim) exists, so the profiler is created here and bumped
-        // at each local schedule site.
-        #[cfg(feature = "profile")]
-        let mut prof = crate::profile::EngineProf::new();
         let mut flows = Vec::with_capacity(specs.len());
         let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); specs.len()];
         for (i, spec) in specs.into_iter().enumerate() {
@@ -479,21 +435,14 @@ impl Engine {
             let (path_fwd, path_rev) = topo.pin_paths(src, dst, hash);
             let (sender, receiver) =
                 build_transport(&cfg, FlowId(i as u32), spec.bytes, base_rtt, bdp);
-            match spec.after {
-                // A dependent flow waits for its parent's completion
-                // callback instead of an absolute FlowStart.
-                Some(parent) => {
-                    assert!(
-                        (parent as usize) < i,
-                        "flow {i}: completion trigger {parent} must precede it"
-                    );
-                    dependents[parent as usize].push(i as u32);
-                }
-                None => {
-                    #[cfg(feature = "profile")]
-                    prof.on_sched(crate::profile::EvKind::FlowStart);
-                    queue.schedule(spec.start, Event::FlowStart(i as u32));
-                }
+            // A dependent flow waits for its parent's completion callback
+            // instead of an absolute FlowStart.
+            if let Some(parent) = spec.after {
+                assert!(
+                    (parent as usize) < i,
+                    "flow {i}: completion trigger {parent} must precede it"
+                );
+                dependents[parent as usize].push(i as u32);
             }
             flows.push(FlowRuntime {
                 spec,
@@ -513,14 +462,7 @@ impl Engine {
                 timer_queued_at: [None; TIMER_KINDS.len()],
                 timer_queued_gen: [0; TIMER_KINDS.len()],
                 timer_res_seq: [0; TIMER_KINDS.len()],
-                #[cfg(feature = "ledger")]
-                lg: crate::latency::FlowLedger::default(),
             });
-        }
-        if let Some(every) = cfg.queue_sample_every {
-            #[cfg(feature = "profile")]
-            prof.on_sched(crate::profile::EvKind::QueueSample);
-            queue.schedule(every, Event::QueueSample);
         }
 
         // Per-link fault state. The seed derivation matches the old global
@@ -530,41 +472,17 @@ impl Engine {
         if cfg.wire_loss_rate > 0.0 {
             fstate.set_uniform_loss(cfg.wire_loss_rate);
         }
-        // Faults ride the main event queue (stable FIFO tie-break keeps
-        // list order at equal timestamps), so `--jobs N` determinism holds.
-        for (i, ev) in cfg.faults.events().iter().enumerate() {
-            let n = ev.node.0 as usize;
-            assert!(n < topo.node_count(), "fault {i}: node {n} out of range");
-            assert!(
-                (ev.port.0 as usize) < topo.port_count(ev.node),
-                "fault {i}: port {} out of range for node {n}",
-                ev.port.0
-            );
-            if matches!(ev.action, FaultAction::PauseStorm { .. }) {
-                assert_eq!(
-                    topo.kind(ev.node),
-                    NodeKind::Switch,
-                    "fault {i}: pause storms target a switch ingress"
-                );
-            }
-            #[cfg(feature = "profile")]
-            prof.on_sched(crate::profile::EvKind::Fault);
-            queue.schedule(ev.at, Event::Fault(i as u32));
-        }
 
-        Engine {
+        let mut eng = Engine {
+            probe: Probes::new(topo.link_count(), flows.len()),
             cfg,
-            #[cfg(debug_assertions)]
-            ledger: crate::ledger::ConservationLedger::new(topo.link_count()),
-            #[cfg(feature = "profile")]
-            prof,
             topo,
             switches,
             ports,
             host_q,
             flows,
             dependents,
-            queue,
+            queue: EventQueue::with_capacity(queue_cap),
             pkts: PacketSlab::with_capacity(1024),
             now: SimTime::ZERO,
             now_seq: 0,
@@ -580,7 +498,44 @@ impl Engine {
             rto_causes: RtoCauseCounts::default(),
             forensics: Vec::new(),
             metrics: None,
+        };
+
+        // Initial events, in a fixed order (flow starts, the queue sampler,
+        // the fault schedule) so their tie-break seqs are stable.
+        for i in 0..eng.flows.len() {
+            let spec = &eng.flows[i].spec;
+            if spec.after.is_none() {
+                let at = spec.start;
+                eng.sched(at, Event::FlowStart(i as u32));
+            }
         }
+        if let Some(every) = eng.cfg.queue_sample_every {
+            eng.sched(every, Event::QueueSample);
+        }
+        // Faults ride the main event queue (stable FIFO tie-break keeps
+        // list order at equal timestamps), so `--jobs N` determinism holds.
+        for i in 0..eng.cfg.faults.events().len() {
+            let ev = eng.cfg.faults.events()[i];
+            let n = ev.node.0 as usize;
+            assert!(
+                n < eng.topo.node_count(),
+                "fault {i}: node {n} out of range"
+            );
+            assert!(
+                (ev.port.0 as usize) < eng.topo.port_count(ev.node),
+                "fault {i}: port {} out of range for node {n}",
+                ev.port.0
+            );
+            if matches!(ev.action, FaultAction::PauseStorm { .. }) {
+                assert_eq!(
+                    eng.topo.kind(ev.node),
+                    NodeKind::Switch,
+                    "fault {i}: pause storms target a switch ingress"
+                );
+            }
+            eng.sched(ev.at, Event::Fault(i as u32));
+        }
+        eng
     }
 
     /// Attaches the flight recorder: every switch, transport sender, and the
@@ -641,30 +596,21 @@ impl Engine {
         });
     }
 
-    /// Schedules `ev` at `at`, counting it in the profiler. Every
-    /// post-construction schedule site routes through here — `finish()`
-    /// debug-asserts that the per-kind tallies sum to the queue's own
-    /// `scheduled_total`, so a bypassing call site is caught in tests.
+    /// Schedules `ev` at `at`, showing it to the probe. Every schedule
+    /// site routes through here or [`Engine::sched_with_seq`] — the
+    /// profiler asserts that its per-kind tallies sum to the queue's own
+    /// `scheduled_total`, so a bypassing call site is caught.
     #[inline]
     fn sched(&mut self, at: SimTime, ev: Event) {
-        #[cfg(feature = "profile")]
-        self.prof.on_sched(ev.kind());
+        self.probe.on_sched(&ev);
         self.queue.schedule(at, ev);
     }
 
-    /// Sum of all switch egress queue bytes (the profiler's occupancy
-    /// series sample).
-    #[cfg(feature = "profile")]
-    fn total_queue_bytes(&self) -> u64 {
-        self.switches
-            .iter()
-            .flatten()
-            .map(|sw| {
-                (0..sw.config().ports)
-                    .map(|p| sw.queue_bytes(PortId(p as u32)))
-                    .sum::<u64>()
-            })
-            .sum()
+    /// [`Engine::sched`] at a previously reserved tie-break `seq`.
+    #[inline]
+    fn sched_with_seq(&mut self, at: SimTime, seq: u64, ev: Event) {
+        self.probe.on_sched(&ev);
+        self.queue.schedule_with_seq(at, seq, ev);
     }
 
     /// The base RTT the engine derived for this topology.
@@ -707,36 +653,19 @@ impl Engine {
             if t > self.cfg.max_time {
                 // Popped past the horizon without executing: cancelled,
                 // like everything still in the queue (drained in collect).
-                #[cfg(feature = "profile")]
-                self.prof.on_unpopped(ev.kind());
+                self.probe.on_horizon(&ev);
                 break;
             }
             self.now = t;
             self.now_seq = seq;
-            #[cfg(feature = "profile")]
-            let prof_kind = ev.kind();
-            // Fan-out proxy: how many events this handler schedules
-            // (counting seq reservations, so deferred timer arms still
-            // register as the handler's work).
-            #[cfg(feature = "profile")]
-            let prof_sched_before = self.queue.seq_total();
-            #[cfg(feature = "profile")]
-            if self.prof.window_due(t) {
-                let qbytes = self.total_queue_bytes();
-                self.prof.on_window(t, qbytes);
-            }
+            self.probe.on_pop(&ev, t, &self.queue, &self.switches);
             match ev {
                 Event::FlowStart(f) => {
                     let bytes = self.flows[f as usize].spec.bytes;
                     self.tracer
                         .emit(t, || TraceEvent::FlowStart { flow: f, bytes });
+                    self.probe.on_flow_start(f, t);
                     let rt = &mut self.flows[f as usize];
-                    // The ledger opens at FlowStart *execution*, which is
-                    // also the recorded `spec.start` (dependent flows have
-                    // it rewritten to the absolute release time), so the
-                    // frontier and the FCT base coincide exactly.
-                    #[cfg(feature = "ledger")]
-                    rt.lg.begin(t.as_ns());
                     rt.sender.start(&mut Ctx {
                         now: t,
                         actions: &mut self.actions,
@@ -764,12 +693,9 @@ impl Engine {
                         rt.timer_queued_at[slot] = None;
                     }
                     let live = rt.timer_gen[slot] == gen;
-                    #[cfg(feature = "profile")]
                     if !live {
                         // Generation mismatch: this pop is a cancellation.
-                        self.prof.note_stale_timer();
-                    }
-                    if !live {
+                        self.probe.on_stale_timer();
                         // A superseding arm may have parked a deadline on
                         // this slot waiting for our entry to clear —
                         // materialize it now, at its reserved seq, exactly
@@ -781,13 +707,7 @@ impl Engine {
                             let seq = rt.timer_res_seq[slot];
                             rt.timer_queued_at[slot] = Some(at);
                             rt.timer_queued_gen[slot] = g;
-                            #[cfg(feature = "profile")]
-                            self.prof.on_sched(crate::profile::EvKind::Timer);
-                            self.queue.schedule_with_seq(
-                                at,
-                                seq,
-                                Event::Timer { flow, kind, gen: g },
-                            );
+                            self.sched_with_seq(at, seq, Event::Timer { flow, kind, gen: g });
                         }
                     }
                     if live {
@@ -910,12 +830,7 @@ impl Engine {
                 }
                 Event::Reroute => self.reroute_flows(),
             }
-            #[cfg(feature = "profile")]
-            {
-                let fanout = self.queue.seq_total() - prof_sched_before;
-                self.prof
-                    .on_pop(prof_kind, t, fanout, self.queue.len() as u64);
-            }
+            self.probe.on_executed(t, &self.queue);
             if remaining == 0 {
                 break;
             }
@@ -1033,35 +948,6 @@ impl Engine {
                 retx: st.fast_retx + st.rto_retx,
             });
         }
-        #[cfg(debug_assertions)]
-        self.ledger.audit_final(&agg);
-
-        // Seal the latency ledgers. This is where the tentpole invariant is
-        // audited: for every completed flow the per-arrival windows must
-        // tile [start, completion] exactly, so Σ phases == FCT with zero
-        // unattributed time — across the full fault grid, not just clean
-        // runs.
-        #[cfg(feature = "ledger")]
-        let ledger = Some(
-            self.flows
-                .iter()
-                .enumerate()
-                .map(|(i, rt)| {
-                    let rec = rt.lg.to_record(i as u32, rt.complete_at.map(|t| t.as_ns()));
-                    #[cfg(debug_assertions)]
-                    debug_assert_eq!(
-                        rec.residue(),
-                        rt.complete_at.map(|_| 0i128),
-                        "flow {i}: latency ledger not conserved ({:?})",
-                        rec.phases
-                    );
-                    rec
-                })
-                .collect(),
-        );
-        #[cfg(not(feature = "ledger"))]
-        let ledger = None;
-
         // Seal the metrics registry with the end-of-run counters. Every
         // name is always written (even at zero) so the exported schema is
         // identical across runs and configurations.
@@ -1088,31 +974,17 @@ impl Engine {
             r.gauge_max("max_queue_bytes", agg.max_queue_bytes);
             m.reg
         });
-        // Seal the profiler: everything still queued (post-horizon samples,
-        // disarmed timers, events orphaned by the all-flows-done break) is
-        // cancelled-by-truncation. Queue health counters are snapshotted
-        // first so the accounting drain itself isn't measured.
-        #[cfg(feature = "profile")]
-        let profile = {
-            let peak = self.queue.peak_len() as u64;
-            let pushes = self.queue.scheduled_total();
-            let pops = self.queue.pops_total();
-            while let Some((_, ev)) = self.queue.pop() {
-                self.prof.on_unpopped(ev.kind());
-            }
-            Some(self.prof.finish(peak, pushes, pops))
-        };
-        #[cfg(not(feature = "profile"))]
-        let profile = None;
         let forensics = std::mem::take(&mut self.forensics);
-        SimResult {
+        let mut res = SimResult {
             flows,
             agg,
             forensics,
             metrics,
-            profile,
-            ledger,
-        }
+            profile: None,
+            ledger: None,
+        };
+        self.probe.seal(&mut self.queue, &mut res);
+        res
     }
 
     /// Delivers a packet arriving at `to` on `in_port`. Returns `true` when
@@ -1124,8 +996,7 @@ impl Engine {
         let in_link = self.topo.incoming_link(to, in_port);
         let (f, dir, hop) = {
             let p = self.pkts.get(pref);
-            #[cfg(debug_assertions)]
-            self.ledger.on_arrival(in_link.0 as usize, p.wire_size());
+            self.probe.on_arrival(in_link.0 as usize, p);
             (p.flow.0, p.dir, p.hop)
         };
         if self.faults.is_down(in_link) {
@@ -1153,22 +1024,10 @@ impl Engine {
             }
             // Endpoint: the frame leaves the wire, so redeem its handle and
             // hand the packet to the transport.
-            #[cfg(feature = "profile")]
-            {
-                self.prof.deliver_endpoint += 1;
-            }
             let pkt = self.pkts.take(pref);
             let rt = &mut self.flows[f as usize];
-            // Every endpoint arrival advances the flow's ledger frontier to
-            // `now`, attributing the window behind it — by the packet's own
-            // journey decomposition in normal operation, wholesale to the
-            // recovery phase otherwise. The completing arrival therefore
-            // closes the conservation invariant at the exact FCT instant.
-            #[cfg(feature = "ledger")]
-            if rt.complete_at.is_none() {
-                let data_fwd = pkt.dir == Direction::Fwd && !pkt.is_control();
-                rt.lg.on_arrival(self.now.as_ns(), &pkt.lg, data_fwd);
-            }
+            let open = rt.complete_at.is_none();
+            self.probe.on_endpoint(f, self.now, &pkt, open);
             let mut ctx = Ctx {
                 now: self.now,
                 actions: &mut self.actions,
@@ -1177,23 +1036,15 @@ impl Engine {
             match pkt.dir {
                 Direction::Fwd => {
                     rt.receiver.on_packet(&pkt, &mut ctx);
-                    if rt.complete_at.is_none() && rt.receiver.is_complete() {
+                    if open && rt.receiver.is_complete() {
                         rt.complete_at = Some(self.now);
                         finished = true;
                     }
                 }
                 Direction::Rev => {
-                    // A delivered ACK/NACK that triggers fast (or go-back-N)
-                    // retransmission flips the ledger into fast recovery;
-                    // the triggering arrival itself was attributed normally
-                    // above, so the mode governs only the windows after it.
-                    #[cfg(feature = "ledger")]
-                    let pre_fast = rt.sender.stats().fast_retx;
-                    rt.sender.on_packet(&pkt, &mut ctx);
-                    #[cfg(feature = "ledger")]
-                    if rt.complete_at.is_none() && rt.sender.stats().fast_retx > pre_fast {
-                        rt.lg.on_fast_retx(self.now.as_ns());
-                    }
+                    self.probe.on_ack(f, self.now, open, &mut *rt.sender, |tx| {
+                        tx.on_packet(&pkt, &mut ctx)
+                    });
                 }
             }
             if finished {
@@ -1221,25 +1072,13 @@ impl Engine {
             self.destroy_frame(to, in_port, &pkt);
             return false;
         }
-        #[cfg(feature = "profile")]
-        {
-            self.prof.deliver_transit += 1;
-        }
         let egress = path[h].port;
         // Provenance, captured before the switch takes ownership: a drop
         // outcome must be attributable to this flow's loss ring.
-        #[cfg(feature = "ledger")]
-        let pause_cum = pause_cum_ns(&self.ports[to.0 as usize][egress.0 as usize], self.now);
         let (p_dir, p_ctrl, p_epoch) = {
             let p = self.pkts.get_mut(pref);
             p.hop += 1;
-            // Wait-begin stamp: the journey's switch-queue segment opens at
-            // arrival and closes at the egress dequeue in `kick_port`.
-            #[cfg(feature = "ledger")]
-            {
-                p.lg.wait_since_ns = self.now.as_ns();
-                p.lg.pause_cum_ns = pause_cum;
-            }
+            self.probe.on_enqueue(p, self.now, &self.ports, to, egress);
             (p.dir, p.is_control(), p.epoch)
         };
         let sw = self.switches[to.0 as usize]
@@ -1252,11 +1091,8 @@ impl Engine {
             DropReason::DynamicThreshold => DropWhy::Dynamic,
             DropReason::BufferOverflow => DropWhy::Overflow,
         });
-        #[cfg(debug_assertions)]
         if let Some(why) = dropped {
-            self.ledger.account_drop(why);
-        }
-        if let Some(why) = dropped {
+            self.probe.on_switch_drop(why);
             self.note_loss(
                 f,
                 LossEvent {
@@ -1317,10 +1153,7 @@ impl Engine {
             } else {
                 // Still serializing: hand the completion back to the queue
                 // at its reserved seq, where the eager engine had it.
-                #[cfg(feature = "profile")]
-                self.prof.on_sched(crate::profile::EvKind::TxDone);
-                self.queue
-                    .schedule_with_seq(end, seq, Event::TxDone { node, port });
+                self.sched_with_seq(end, seq, Event::TxDone { node, port });
                 return;
             }
         }
@@ -1328,40 +1161,30 @@ impl Engine {
         if ps.busy || ps.paused {
             return;
         }
-        let pkt = if let Some(sw) = self.switches[n].as_mut() {
+        let (pkt, host) = if let Some(sw) = self.switches[n].as_mut() {
             let (pkt, sig) = sw.dequeue(&mut self.pkts, port, self.now);
             if let Some(sig) = sig {
                 self.send_pfc(node, sig);
             }
-            pkt
+            (pkt, false)
         } else {
-            self.host_q[n].pop_front()
+            (self.host_q[n].pop_front(), true)
         };
         let Some(pkt) = pkt else { return };
-        // Wait-close: the early return above guarantees the port is
-        // unpaused now, so the cumulative pause counter alone bounds how
-        // much of this packet's wait was PFC back-pressure; the rest is
-        // host/pacing wait at a NIC or switch queueing at a switch.
-        #[cfg(feature = "ledger")]
-        {
-            let is_host = self.switches[n].is_none();
-            let cum = ps.paused_total.as_ns();
-            let p = self.pkts.get_mut(pkt);
-            let waited = self.now.as_ns() - p.lg.wait_since_ns;
-            let paused = cum.saturating_sub(p.lg.pause_cum_ns).min(waited);
-            p.lg.pause_ns += paused;
-            if is_host {
-                p.lg.host_ns += waited - paused;
-            } else {
-                p.lg.queue_ns += waited - paused;
-            }
-        }
         let (lid, rec) = self.topo.link_from(node, port);
         let (spec, to) = (rec.spec, rec.to);
         let wire = self.pkts.get(pkt).wire_size();
         let tx = self.faults.tx_time(lid, &spec, wire);
-        #[cfg(debug_assertions)]
-        self.ledger.on_tx(lid.0 as usize, wire);
+        // The early return above guarantees the port is unpaused now.
+        self.probe.on_tx(
+            lid.0 as usize,
+            wire,
+            &mut self.pkts,
+            pkt,
+            self.now,
+            &ps,
+            host,
+        );
         // Only a port with a backlog needs its completion event: an idle
         // one just reserves the seq and is settled by its next kick.
         let backlog = match &self.switches[n] {
@@ -1376,75 +1199,25 @@ impl Engine {
             self.ports[n][port.0 as usize].idle_at = Some((self.now + tx, seq));
         }
         // Link failure: the port still spends the serialization time, but
-        // the frame goes onto a dead wire and is destroyed.
-        if self.faults.is_down(lid) {
-            let pkt = self.pkts.take(pkt);
+        // the frame goes onto a dead wire and is destroyed. Non-congestion
+        // (corruption) loss: same deal, the frame never arrives. Only links
+        // with an active loss model consult the RNG.
+        let lost = if self.faults.is_down(lid) {
             self.faults.down_drops += 1;
-            #[cfg(debug_assertions)]
-            self.ledger
-                .on_tx_dropped(lid.0 as usize, wire, DropWhy::LinkDown);
-            self.tracer.emit(self.now, || TraceEvent::Drop {
-                node: node.0,
-                port: port.0,
-                flow: pkt.flow.0,
-                seq: pkt.seq,
-                why: DropWhy::LinkDown,
-                green: pkt.color == Color::Green && !pkt.is_control(),
-            });
-            self.note_loss(
-                pkt.flow.0,
-                LossEvent {
-                    at: self.now,
-                    node: node.0,
-                    port: port.0,
-                    why: DropWhy::LinkDown,
-                    dir: pkt.dir,
-                    control: pkt.is_control(),
-                    epoch: pkt.epoch,
-                },
-            );
-            return;
-        }
-        // Non-congestion (corruption) loss: same deal, the frame never
-        // arrives. Only links with an active loss model consult the RNG.
-        if self.faults.corrupts(lid) {
+            Some(DropWhy::LinkDown)
+        } else if self.faults.corrupts(lid) {
+            Some(DropWhy::Wire)
+        } else {
+            None
+        };
+        if let Some(why) = lost {
             let pkt = self.pkts.take(pkt);
-            #[cfg(debug_assertions)]
-            self.ledger
-                .on_tx_dropped(lid.0 as usize, wire, DropWhy::Wire);
-            self.tracer.emit(self.now, || TraceEvent::Drop {
-                node: node.0,
-                port: port.0,
-                flow: pkt.flow.0,
-                seq: pkt.seq,
-                why: DropWhy::Wire,
-                green: pkt.color == Color::Green && !pkt.is_control(),
-            });
-            self.note_loss(
-                pkt.flow.0,
-                LossEvent {
-                    at: self.now,
-                    node: node.0,
-                    port: port.0,
-                    why: DropWhy::Wire,
-                    dir: pkt.dir,
-                    control: pkt.is_control(),
-                    epoch: pkt.epoch,
-                },
-            );
+            self.probe.on_tx_drop(lid.0 as usize, wire, why);
+            self.lose_frame(node, port, &pkt, why);
             return;
         }
-        #[cfg(debug_assertions)]
-        self.ledger.on_scheduled(lid.0 as usize, wire);
-        // Journey contiguity: dequeue at `now`, arrival at `now + tx +
-        // delay` — accumulating exactly those two terms keeps the journey's
-        // phase sum equal to arrival − origin with no gap.
-        #[cfg(feature = "ledger")]
-        {
-            let p = self.pkts.get_mut(pkt);
-            p.lg.serialize_ns += tx.as_ns();
-            p.lg.propagate_ns += spec.delay.as_ns();
-        }
+        self.probe
+            .on_wire(lid.0 as usize, wire, &mut self.pkts, pkt, tx, spec.delay);
         self.sched(
             self.now + tx + spec.delay,
             Event::Deliver {
@@ -1458,19 +1231,20 @@ impl Engine {
     /// Destroys a frame lost to a link fault (downed wire or a path made
     /// stale by a reroute), attributing it in the trace and counters.
     fn destroy_frame(&mut self, node: NodeId, port: PortId, pkt: &Packet) {
-        #[cfg(feature = "profile")]
-        {
-            self.prof.deliver_destroyed += 1;
-        }
+        self.probe.on_destroy();
         self.faults.down_drops += 1;
-        #[cfg(debug_assertions)]
-        self.ledger.account_drop(DropWhy::LinkDown);
+        self.lose_frame(node, port, pkt, DropWhy::LinkDown);
+    }
+
+    /// Records a frame lost at `(node, port)`: its trace event and its
+    /// flow's forensic loss ring.
+    fn lose_frame(&mut self, node: NodeId, port: PortId, pkt: &Packet, why: DropWhy) {
         self.tracer.emit(self.now, || TraceEvent::Drop {
             node: node.0,
             port: port.0,
             flow: pkt.flow.0,
             seq: pkt.seq,
-            why: DropWhy::LinkDown,
+            why,
             green: pkt.color == Color::Green && !pkt.is_control(),
         });
         self.note_loss(
@@ -1479,7 +1253,7 @@ impl Engine {
                 at: self.now,
                 node: node.0,
                 port: port.0,
-                why: DropWhy::LinkDown,
+                why,
                 dir: pkt.dir,
                 control: pkt.is_control(),
                 epoch: pkt.epoch,
@@ -1507,14 +1281,8 @@ impl Engine {
     /// nothing of it was ever dropped — took a spurious, delay-induced
     /// timeout (`Delay`). Anything else is `Unknown`.
     fn attribute_rto(&mut self, f: u32, t: SimTime) {
-        // The latency ledger rides the same forensic hook: the quiet window
-        // that led up to this firing *was* the RTO stall, and everything
-        // after is RTO recovery until a fresh-epoch data packet lands.
-        #[cfg(feature = "ledger")]
-        if self.flows[f as usize].complete_at.is_none() {
-            self.flows[f as usize].lg.on_rto(t.as_ns());
-        }
         let rt = &self.flows[f as usize];
+        self.probe.on_rto(f, t, rt.complete_at.is_none());
         let epoch = rt.tx_epoch;
         let armed = rt.rto_armed_at;
         let classify = |l: &LossEvent| {
@@ -1694,26 +1462,21 @@ impl Engine {
     /// Cancels every armed timer of flow `f` (fixed slot order, so the
     /// trace and generation bumps are deterministic).
     fn disarm_timers(&mut self, f: u32) {
-        #[cfg(feature = "profile")]
-        {
-            self.prof.disarm_sweeps += 1;
-        }
+        let mut cancelled = 0;
         for kind in TIMER_KINDS {
             let s = timer_slot(kind);
             let rt = &mut self.flows[f as usize];
             if rt.timer_armed[s] {
                 rt.timer_gen[s] += 1;
                 rt.timer_armed[s] = false;
-                #[cfg(feature = "profile")]
-                {
-                    self.prof.disarm_cancels += 1;
-                }
+                cancelled += 1;
                 self.tracer.emit(self.now, || TraceEvent::TimerCancel {
                     flow: f,
                     kind: timer_id(kind),
                 });
             }
         }
+        self.probe.on_disarm(cancelled);
     }
 
     /// Applies the actions a transport callback produced for flow `f`.
@@ -1730,16 +1493,7 @@ impl Engine {
                     };
                     pkt.hop = 1;
                     pkt.epoch = rt.tx_epoch;
-                    // Journey origin: the packet enters the host egress
-                    // queue (always port 0 of a host) right now.
-                    #[cfg(feature = "ledger")]
-                    {
-                        let now_ns = self.now.as_ns();
-                        pkt.lg.origin_ns = now_ns;
-                        pkt.lg.wait_since_ns = now_ns;
-                        pkt.lg.pause_cum_ns =
-                            pause_cum_ns(&self.ports[origin.0 as usize][0], self.now);
-                    }
+                    self.probe.on_send(&mut pkt, self.now, &self.ports, origin);
                     // The frame enters the arena here and stays there for
                     // its whole wire lifetime; only handles move from now on.
                     let pkt = self.pkts.insert(pkt);
@@ -1774,10 +1528,7 @@ impl Engine {
                     if rt.timer_queued_at[s].is_none_or(|q| at < q) {
                         rt.timer_queued_at[s] = Some(at);
                         rt.timer_queued_gen[s] = gen;
-                        #[cfg(feature = "profile")]
-                        self.prof.on_sched(crate::profile::EvKind::Timer);
-                        self.queue
-                            .schedule_with_seq(at, seq, Event::Timer { flow: f, kind, gen });
+                        self.sched_with_seq(at, seq, Event::Timer { flow: f, kind, gen });
                     }
                 }
                 Action::CancelTimer { kind } => {
@@ -1957,6 +1708,29 @@ mod tests {
         // Determinism: a second identical run serializes byte-identically.
         let again = run();
         assert_eq!(p.to_json(), again.profile.as_ref().unwrap().to_json());
+    }
+
+    /// A run cut at `max_time` pops one event past the horizon without
+    /// executing it. The queue counts that pop, no component owns it, and
+    /// the profiler's closure (asserted in `finish`) counts it separately,
+    /// so the naive `Σ component_exec == queue_pops` is off by exactly one.
+    #[test]
+    #[cfg(feature = "profile")]
+    fn profile_closes_on_a_run_cut_at_the_horizon() {
+        let mut cfg =
+            SimConfig::tcp_family(TransportKind::Dctcp).with_topology(small_single_switch(9));
+        cfg.max_time = SimTime::from_us(100);
+        let flows: Vec<FlowSpec> = (1..9)
+            .map(|s| FlowSpec::new(s, 0, 200_000, SimTime::ZERO, true))
+            .collect();
+        let res = Engine::new(cfg, flows).run();
+        assert!(res.flows.iter().any(|f| f.end.is_none()), "run was cut");
+        let r = &res.profile.as_ref().expect("profile feature is on").reg;
+        let comp: u64 = ["switch", "link", "transport", "timer", "fault", "sampler"]
+            .iter()
+            .map(|c| r.counter(&format!("component_exec/{c}")))
+            .sum();
+        assert_eq!(comp + 1, r.counter("queue_pops"), "one horizon pop");
     }
 
     /// Lazy link completion: on an uncongested fabric most frames start

@@ -78,7 +78,8 @@ pub enum RecoveryMode {
     Rto,
 }
 
-/// One flow's live ledger state (embedded in the engine's flow runtime).
+/// One flow's live ledger state (held per flow by the engine's latency
+/// probe).
 #[derive(Clone, Debug, Default)]
 pub struct FlowLedger {
     /// Whether `FlowStart` has executed (pre-start flows attribute nothing).

@@ -1,4 +1,4 @@
-//! Strict-invariant conservation ledger for the engine (feature-gated).
+//! Strict-invariant conservation ledger for the engine (debug builds).
 //!
 //! The engine moves every frame through the same narrow waist — serialized
 //! at a port, destroyed on a faulty wire, delivered to a switch or an
@@ -17,13 +17,19 @@
 //! independent accounting paths that a forgotten counter bump would split.
 //!
 //! Every [`telemetry::DropWhy`] variant is matched exhaustively in
-//! [`ConservationLedger::account_drop`], so adding a drop reason without
-//! deciding how it is accounted is a compile error here and a simlint D5
-//! finding at the source level.
+//! `drop_slot`, so adding a drop reason without deciding how it is
+//! accounted is a compile error here and a simlint D5 finding at the
+//! source level.
+//!
+//! The ledger is the engine's auditor probe: debug builds carry it, release
+//! builds carry `()` in its place.
 
+use eventsim::{EventQueue, SimTime};
+use netsim::packet::{Packet, PacketRef, PacketSlab};
 use telemetry::DropWhy;
 
-use crate::engine::AggregateStats;
+use crate::engine::{AggregateStats, Event, PortState, SimResult};
+use crate::probe::Probe;
 
 /// Index of a drop reason in the ledger's per-variant counts.
 ///
@@ -66,49 +72,6 @@ pub struct ConservationLedger {
 }
 
 impl ConservationLedger {
-    /// A ledger for a topology with `links` unidirectional links.
-    pub fn new(links: usize) -> ConservationLedger {
-        ConservationLedger {
-            links: vec![LinkLedger::default(); links],
-            drops: [0; 5],
-        }
-    }
-
-    /// A frame began serialization on `link`.
-    pub fn on_tx(&mut self, link: usize, bytes: u32) {
-        let l = &mut self.links[link];
-        l.tx_frames += 1;
-        l.tx_bytes += u64::from(bytes);
-    }
-
-    /// The frame died on the wire at serialization time.
-    pub fn on_tx_dropped(&mut self, link: usize, bytes: u32, why: DropWhy) {
-        let l = &mut self.links[link];
-        l.txdrop_frames += 1;
-        l.txdrop_bytes += u64::from(bytes);
-        self.drops[drop_slot(why)] += 1;
-    }
-
-    /// The frame's delivery event was scheduled.
-    pub fn on_scheduled(&mut self, link: usize, bytes: u32) {
-        let l = &mut self.links[link];
-        l.sched_frames += 1;
-        l.sched_bytes += u64::from(bytes);
-    }
-
-    /// The frame's delivery event fired at the receiving end of `link`.
-    pub fn on_arrival(&mut self, link: usize, bytes: u32) {
-        let l = &mut self.links[link];
-        l.arr_frames += 1;
-        l.arr_bytes += u64::from(bytes);
-    }
-
-    /// A frame that had arrived was dropped (destroyed at arrival on a
-    /// downed link or a stale path, or rejected by the switch MMU).
-    pub fn account_drop(&mut self, why: DropWhy) {
-        self.drops[drop_slot(why)] += 1;
-    }
-
     /// Drain-time audit (`debug_assert!`-based): per-link conservation plus
     /// the cross-check of engine-side drop counts against the run's
     /// [`AggregateStats`].
@@ -157,20 +120,96 @@ impl ConservationLedger {
     }
 }
 
+impl Probe for ConservationLedger {
+    fn new(links: usize, _flows: usize) -> ConservationLedger {
+        ConservationLedger {
+            links: vec![LinkLedger::default(); links],
+            drops: [0; 5],
+        }
+    }
+
+    fn on_arrival(&mut self, link: usize, pkt: &Packet) {
+        let l = &mut self.links[link];
+        l.arr_frames += 1;
+        l.arr_bytes += u64::from(pkt.wire_size());
+    }
+
+    fn on_switch_drop(&mut self, why: DropWhy) {
+        self.drops[drop_slot(why)] += 1;
+    }
+
+    fn on_tx(
+        &mut self,
+        link: usize,
+        wire: u32,
+        _: &mut PacketSlab,
+        _: PacketRef,
+        _: SimTime,
+        _: &PortState,
+        _: bool,
+    ) {
+        let l = &mut self.links[link];
+        l.tx_frames += 1;
+        l.tx_bytes += u64::from(wire);
+    }
+
+    fn on_tx_drop(&mut self, link: usize, wire: u32, why: DropWhy) {
+        let l = &mut self.links[link];
+        l.txdrop_frames += 1;
+        l.txdrop_bytes += u64::from(wire);
+        self.drops[drop_slot(why)] += 1;
+    }
+
+    fn on_wire(
+        &mut self,
+        link: usize,
+        wire: u32,
+        _: &mut PacketSlab,
+        _: PacketRef,
+        _: SimTime,
+        _: SimTime,
+    ) {
+        let l = &mut self.links[link];
+        l.sched_frames += 1;
+        l.sched_bytes += u64::from(wire);
+    }
+
+    fn on_destroy(&mut self) {
+        self.drops[drop_slot(DropWhy::LinkDown)] += 1;
+    }
+
+    fn seal(&mut self, _: &mut EventQueue<Event>, res: &mut SimResult) {
+        self.audit_final(&res.agg);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::packet::FlowId;
+
+    /// Feeds one frame of `bytes` through the tx hook and, unless it died
+    /// on the wire with `drop`, the wire hook.
+    fn tx(led: &mut ConservationLedger, link: usize, bytes: u32, drop: Option<DropWhy>) {
+        let mut slab = PacketSlab::with_capacity(1);
+        let r = slab.insert(Packet::data(FlowId(0), 0, 0));
+        let ps = PortState::default();
+        led.on_tx(link, bytes, &mut slab, r, SimTime::ZERO, &ps, true);
+        match drop {
+            Some(why) => led.on_tx_drop(link, bytes, why),
+            None => led.on_wire(link, bytes, &mut slab, r, SimTime::ZERO, SimTime::ZERO),
+        }
+    }
 
     /// A balanced ledger audits clean against matching aggregates.
     #[test]
     fn balanced_ledger_audits_clean() {
-        let mut led = ConservationLedger::new(2);
-        led.on_tx(0, 1_048);
-        led.on_scheduled(0, 1_048);
-        led.on_arrival(0, 1_048);
-        led.on_tx(1, 500);
-        led.on_tx_dropped(1, 500, DropWhy::LinkDown);
-        led.account_drop(DropWhy::Color);
+        let mut led = ConservationLedger::new(2, 0);
+        let pkt = Packet::data(FlowId(0), 0, 1_000);
+        tx(&mut led, 0, pkt.wire_size(), None);
+        led.on_arrival(0, &pkt);
+        tx(&mut led, 1, 500, Some(DropWhy::LinkDown));
+        led.on_switch_drop(DropWhy::Color);
         let agg = AggregateStats {
             drops_color: 1,
             down_drops: 1,
@@ -184,8 +223,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "serialized frames")]
     fn corrupted_link_ledger_fires() {
-        let mut led = ConservationLedger::new(1);
-        led.on_scheduled(0, 1_000); // never recorded as serialized
+        let mut led = ConservationLedger::new(1, 0);
+        let mut slab = PacketSlab::with_capacity(1);
+        let r = slab.insert(Packet::data(FlowId(0), 0, 0));
+        // Scheduled, never recorded as serialized.
+        led.on_wire(0, 1_000, &mut slab, r, SimTime::ZERO, SimTime::ZERO);
         led.audit_final(&AggregateStats::default());
     }
 
@@ -194,8 +236,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "drops_color")]
     fn unreported_drop_fires_cross_check() {
-        let mut led = ConservationLedger::new(1);
-        led.account_drop(DropWhy::Color);
+        let mut led = ConservationLedger::new(1, 0);
+        led.on_switch_drop(DropWhy::Color);
         led.audit_final(&AggregateStats::default()); // agg says zero drops
     }
 }

@@ -34,8 +34,11 @@
 mod config;
 mod engine;
 pub mod latency;
+#[cfg(feature = "ledger")]
+mod latency_probe;
 #[cfg(debug_assertions)]
 pub mod ledger;
+mod probe;
 #[cfg(feature = "profile")]
 pub mod profile;
 

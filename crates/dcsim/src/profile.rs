@@ -30,8 +30,14 @@
 //! Everything is integer and BTreeMap-ordered, so the exported
 //! `tlt-profile/v1` JSON is byte-identical across `--jobs N`.
 
-use eventsim::SimTime;
+use eventsim::{EventQueue, SimTime};
+use netsim::packet::Packet;
+use netsim::switch::Switch;
+use netsim::topology::{NodeId, PortId};
 use telemetry::{Hist, Profile, TimeSeries, SERIES_BASE_WINDOW_NS};
+
+use crate::engine::{Event, Ports, SimResult};
+use crate::probe::Probe;
 
 /// Number of event kinds in [`EvKind::ALL`].
 pub const N_KINDS: usize = 10;
@@ -94,15 +100,44 @@ impl EvKind {
         }
     }
 
+    /// The kind bucket of an engine event.
+    fn of(ev: &Event) -> EvKind {
+        match ev {
+            Event::FlowStart(_) => EvKind::FlowStart,
+            Event::TxDone { .. } => EvKind::TxDone,
+            Event::Deliver { .. } => EvKind::Deliver,
+            Event::Timer { .. } => EvKind::Timer,
+            Event::PfcSet { .. } => EvKind::PfcSet,
+            Event::QueueSample => EvKind::QueueSample,
+            Event::TraceSample => EvKind::TraceSample,
+            Event::Fault(_) => EvKind::Fault,
+            Event::StormEnd { .. } => EvKind::StormEnd,
+            Event::Reroute => EvKind::Reroute,
+        }
+    }
+
     #[inline]
     fn idx(self) -> usize {
         self as usize
     }
 }
 
-/// Per-run profiler state, owned by the engine (created in `Engine::new`
-/// like the debug-build conservation ledger, so constructor-time scheduling is
-/// counted too).
+/// Sum of all switch egress queue bytes (the occupancy series sample).
+fn total_queue_bytes(switches: &[Option<Switch>]) -> u64 {
+    switches
+        .iter()
+        .flatten()
+        .map(|sw| {
+            (0..sw.config().ports)
+                .map(|p| sw.queue_bytes(PortId(p as u32)))
+                .sum::<u64>()
+        })
+        .sum()
+}
+
+/// Per-run profiler state: the engine's probe in `profile` builds, created
+/// before the constructor schedules anything, so constructor-time
+/// scheduling is counted too.
 pub(crate) struct EngineProf {
     sched: [u64; N_KINDS],
     popped: [u64; N_KINDS],
@@ -110,11 +145,18 @@ pub(crate) struct EngineProf {
     unpopped: [u64; N_KINDS],
     fanout: [Hist; N_KINDS],
     depth: Hist,
-    pub(crate) deliver_endpoint: u64,
-    pub(crate) deliver_transit: u64,
-    pub(crate) deliver_destroyed: u64,
-    pub(crate) disarm_sweeps: u64,
-    pub(crate) disarm_cancels: u64,
+    deliver_endpoint: u64,
+    deliver_transit: u64,
+    deliver_destroyed: u64,
+    disarm_sweeps: u64,
+    disarm_cancels: u64,
+    /// Events popped past the horizon (0 or 1): eventsim counts them in
+    /// `queue_pops`, but they never execute, so no component owns them.
+    horizon_pops: u64,
+    /// Kind of the executing event and the queue's seq count before its
+    /// handler ran (the fan-out base).
+    cur: EvKind,
+    seq_before: u64,
     /// `Deliver` events scheduled but not yet popped — frames on the wire.
     inflight: u64,
     /// Next sim-time (ns) at which to sample the gauge series.
@@ -125,72 +167,9 @@ pub(crate) struct EngineProf {
 }
 
 impl EngineProf {
-    pub(crate) fn new() -> EngineProf {
-        EngineProf {
-            sched: [0; N_KINDS],
-            popped: [0; N_KINDS],
-            stale: [0; N_KINDS],
-            unpopped: [0; N_KINDS],
-            fanout: std::array::from_fn(|_| Hist::default()),
-            depth: Hist::default(),
-            deliver_endpoint: 0,
-            deliver_transit: 0,
-            deliver_destroyed: 0,
-            disarm_sweeps: 0,
-            disarm_cancels: 0,
-            inflight: 0,
-            next_window: 0,
-            s_events: TimeSeries::new(),
-            s_inflight: TimeSeries::new(),
-            s_qbytes: TimeSeries::new(),
-        }
-    }
-
-    /// Called at every schedule site (the engine's `sched` shim).
-    #[inline]
-    pub(crate) fn on_sched(&mut self, kind: EvKind) {
-        self.sched[kind.idx()] += 1;
-        if kind == EvKind::Deliver {
-            self.inflight += 1;
-        }
-    }
-
-    /// Called after an event executes: `fanout` is how many events the
-    /// handler scheduled, `depth` the queue length left behind.
-    #[inline]
-    pub(crate) fn on_pop(&mut self, kind: EvKind, t: SimTime, fanout: u64, depth: u64) {
-        let i = kind.idx();
-        self.popped[i] += 1;
-        self.fanout[i].observe(fanout);
-        self.depth.observe(depth);
-        self.s_events.record(t, 1);
-        if kind == EvKind::Deliver {
-            self.inflight -= 1;
-        }
-    }
-
-    /// A timer popped whose generation no longer matches (cancelled).
-    #[inline]
-    pub(crate) fn note_stale_timer(&mut self) {
-        self.stale[EvKind::Timer.idx()] += 1;
-    }
-
-    /// An event left in (or popped past the horizon from) the queue at the
-    /// end of the run.
-    #[inline]
-    pub(crate) fn on_unpopped(&mut self, kind: EvKind) {
-        self.unpopped[kind.idx()] += 1;
-    }
-
-    /// Whether sim-time `t` crossed into an unsampled gauge window.
-    #[inline]
-    pub(crate) fn window_due(&self, t: SimTime) -> bool {
-        t.as_ns() >= self.next_window
-    }
-
     /// Samples the gauge series (in-flight frames, aggregate queue bytes)
     /// for the window containing `t`.
-    pub(crate) fn on_window(&mut self, t: SimTime, queue_bytes: u64) {
+    fn sample_window(&mut self, t: SimTime, queue_bytes: u64) {
         self.s_inflight.record(t, self.inflight);
         self.s_qbytes.record(t, queue_bytes);
         self.next_window = (t.as_ns() / SERIES_BASE_WINDOW_NS + 1) * SERIES_BASE_WINDOW_NS;
@@ -198,10 +177,17 @@ impl EngineProf {
 
     /// Seals the run into a [`Profile`]. `peak`/`pushes`/`pops` come from
     /// the event queue's own (feature-gated) health counters; `pops` is
-    /// snapshotted before the end-of-run drain that feeds `on_unpopped`.
+    /// snapshotted before the end-of-run drain that counts the unpopped.
     /// Every name is always written, even at zero, so the exported schema
     /// is identical across runs and configurations.
-    pub(crate) fn finish(&mut self, peak: u64, pushes: u64, pops: u64) -> Profile {
+    ///
+    /// # Panics
+    ///
+    /// Panics when the accounting does not close: a schedule site bypassed
+    /// the profiler, an event was neither executed, stale nor unpopped, a
+    /// `Deliver` pop was not split, or the component tallies plus the
+    /// horizon pop miss the queue's own pop count.
+    fn finish(&mut self, peak: u64, pushes: u64, pops: u64) -> Profile {
         let mut p = Profile::new();
         let exec = |s: &Self, k: EvKind| s.popped[k.idx()] - s.stale[k.idx()];
 
@@ -221,13 +207,13 @@ impl EngineProf {
         }
         // Every schedule site must route through the profiler, and every
         // scheduled event must end up executed, stale, or unpopped.
-        debug_assert_eq!(sched_t, pushes, "a schedule site bypassed the profiler");
-        debug_assert_eq!(
+        assert_eq!(sched_t, pushes, "a schedule site bypassed the profiler");
+        assert_eq!(
             exec_t + stale_t + unpopped_t,
             sched_t,
             "event not accounted"
         );
-        debug_assert_eq!(
+        assert_eq!(
             self.deliver_endpoint + self.deliver_transit + self.deliver_destroyed,
             self.popped[EvKind::Deliver.idx()],
             "deliver split incomplete"
@@ -238,30 +224,28 @@ impl EngineProf {
         r.inc("events_executed_total", exec_t);
         r.inc("events_cancelled_total", stale_t + unpopped_t);
 
-        // Component attribution: every *popped* event belongs to exactly
-        // one component; Deliver splits by where the frame landed.
+        // Component attribution: every *executed or stale* pop belongs to
+        // exactly one component; Deliver splits by where the frame landed.
+        // With the horizon pop (which never executes) they close exactly
+        // on the queue's own pop count.
         let popped = |k: EvKind| self.popped[k.idx()];
-        r.inc(
-            "component_exec/switch",
-            self.deliver_transit + popped(EvKind::PfcSet),
+        let switch = self.deliver_transit + popped(EvKind::PfcSet);
+        let link = popped(EvKind::TxDone) + self.deliver_destroyed;
+        let transport = popped(EvKind::FlowStart) + self.deliver_endpoint;
+        let timer = popped(EvKind::Timer);
+        let fault = popped(EvKind::Fault) + popped(EvKind::StormEnd) + popped(EvKind::Reroute);
+        let sampler = popped(EvKind::QueueSample) + popped(EvKind::TraceSample);
+        assert_eq!(
+            switch + link + transport + timer + fault + sampler + self.horizon_pops,
+            pops,
+            "component tallies plus the horizon pop miss a queue pop"
         );
-        r.inc(
-            "component_exec/link",
-            popped(EvKind::TxDone) + self.deliver_destroyed,
-        );
-        r.inc(
-            "component_exec/transport",
-            popped(EvKind::FlowStart) + self.deliver_endpoint,
-        );
-        r.inc("component_exec/timer", popped(EvKind::Timer));
-        r.inc(
-            "component_exec/fault",
-            popped(EvKind::Fault) + popped(EvKind::StormEnd) + popped(EvKind::Reroute),
-        );
-        r.inc(
-            "component_exec/sampler",
-            popped(EvKind::QueueSample) + popped(EvKind::TraceSample),
-        );
+        r.inc("component_exec/switch", switch);
+        r.inc("component_exec/link", link);
+        r.inc("component_exec/transport", transport);
+        r.inc("component_exec/timer", timer);
+        r.inc("component_exec/fault", fault);
+        r.inc("component_exec/sampler", sampler);
         r.inc("deliver_endpoint", self.deliver_endpoint);
         r.inc("deliver_transit", self.deliver_transit);
         r.inc("deliver_destroyed", self.deliver_destroyed);
@@ -286,6 +270,110 @@ impl EngineProf {
     }
 }
 
+impl Probe for EngineProf {
+    fn new(_links: usize, _flows: usize) -> EngineProf {
+        EngineProf {
+            sched: [0; N_KINDS],
+            popped: [0; N_KINDS],
+            stale: [0; N_KINDS],
+            unpopped: [0; N_KINDS],
+            fanout: std::array::from_fn(|_| Hist::default()),
+            depth: Hist::default(),
+            deliver_endpoint: 0,
+            deliver_transit: 0,
+            deliver_destroyed: 0,
+            disarm_sweeps: 0,
+            disarm_cancels: 0,
+            horizon_pops: 0,
+            cur: EvKind::FlowStart,
+            seq_before: 0,
+            inflight: 0,
+            next_window: 0,
+            s_events: TimeSeries::new(),
+            s_inflight: TimeSeries::new(),
+            s_qbytes: TimeSeries::new(),
+        }
+    }
+
+    #[inline]
+    fn on_sched(&mut self, ev: &Event) {
+        let kind = EvKind::of(ev);
+        self.sched[kind.idx()] += 1;
+        if kind == EvKind::Deliver {
+            self.inflight += 1;
+        }
+    }
+
+    #[inline]
+    fn on_pop(&mut self, ev: &Event, t: SimTime, q: &EventQueue<Event>, sw: &[Option<Switch>]) {
+        self.cur = EvKind::of(ev);
+        // Fan-out proxy: how many events this handler schedules (counting
+        // seq reservations, so deferred timer arms still register as the
+        // handler's work).
+        self.seq_before = q.seq_total();
+        if t.as_ns() >= self.next_window {
+            self.sample_window(t, total_queue_bytes(sw));
+        }
+    }
+
+    #[inline]
+    fn on_executed(&mut self, t: SimTime, queue: &EventQueue<Event>) {
+        let i = self.cur.idx();
+        self.popped[i] += 1;
+        self.fanout[i].observe(queue.seq_total() - self.seq_before);
+        self.depth.observe(queue.len() as u64);
+        self.s_events.record(t, 1);
+        if self.cur == EvKind::Deliver {
+            self.inflight -= 1;
+        }
+    }
+
+    fn on_horizon(&mut self, ev: &Event) {
+        self.horizon_pops += 1;
+        self.unpopped[EvKind::of(ev).idx()] += 1;
+    }
+
+    #[inline]
+    fn on_stale_timer(&mut self) {
+        self.stale[EvKind::Timer.idx()] += 1;
+    }
+
+    #[inline]
+    fn on_disarm(&mut self, cancelled: u64) {
+        self.disarm_sweeps += 1;
+        self.disarm_cancels += cancelled;
+    }
+
+    #[inline]
+    fn on_enqueue(&mut self, _: &mut Packet, _: SimTime, _: &Ports, _: NodeId, _: PortId) {
+        self.deliver_transit += 1;
+    }
+
+    #[inline]
+    fn on_destroy(&mut self) {
+        self.deliver_destroyed += 1;
+    }
+
+    #[inline]
+    fn on_endpoint(&mut self, _: u32, _: SimTime, _: &Packet, _: bool) {
+        self.deliver_endpoint += 1;
+    }
+
+    /// Everything still queued (post-horizon samples, disarmed timers,
+    /// events orphaned by the all-flows-done break) is cancelled by
+    /// truncation. Queue health counters are snapshotted first so the
+    /// accounting drain itself isn't measured.
+    fn seal(&mut self, queue: &mut EventQueue<Event>, res: &mut SimResult) {
+        let peak = queue.peak_len() as u64;
+        let pushes = queue.scheduled_total();
+        let pops = queue.pops_total();
+        while let Some((_, ev)) = queue.pop() {
+            self.unpopped[EvKind::of(&ev).idx()] += 1;
+        }
+        res.profile = Some(self.finish(peak, pushes, pops));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,18 +390,36 @@ mod tests {
 
     #[test]
     fn finish_reports_invariant_totals() {
-        let mut prof = EngineProf::new();
-        prof.on_sched(EvKind::FlowStart);
-        prof.on_sched(EvKind::Deliver);
-        prof.on_sched(EvKind::Timer);
-        prof.on_sched(EvKind::Timer);
-        prof.on_pop(EvKind::FlowStart, SimTime::from_ns(10), 1, 3);
-        prof.on_pop(EvKind::Deliver, SimTime::from_ns(20), 0, 2);
+        let mut slab = netsim::packet::PacketSlab::with_capacity(1);
+        let pkt = slab.insert(Packet::data(netsim::packet::FlowId(0), 0, 0));
+        let start = Event::FlowStart(0);
+        let timer = Event::Timer {
+            flow: 0,
+            kind: transport::iface::TimerKind::Rto,
+            gen: 0,
+        };
+        let deliver = Event::Deliver {
+            to: NodeId(0),
+            in_port: PortId(0),
+            pkt,
+        };
+        let mut prof = EngineProf::new(0, 0);
+        prof.on_sched(&start);
+        prof.on_sched(&deliver);
+        prof.on_sched(&timer);
+        prof.on_sched(&timer);
+        let q = EventQueue::with_capacity(1);
+        let mut run = |ev: &Event, ns: u64| {
+            prof.on_pop(ev, SimTime::from_ns(ns), &q, &[]);
+            prof.on_executed(SimTime::from_ns(ns), &q);
+        };
+        run(&start, 10);
+        run(&deliver, 20);
+        run(&timer, 30);
         prof.deliver_endpoint += 1;
-        prof.on_pop(EvKind::Timer, SimTime::from_ns(30), 0, 1);
-        prof.note_stale_timer();
-        prof.on_unpopped(EvKind::Timer);
-        let p = prof.finish(4, 4, 3);
+        prof.on_stale_timer();
+        prof.on_horizon(&timer);
+        let p = prof.finish(4, 4, 4);
         let r = &p.reg;
         assert_eq!(r.counter("events_scheduled_total"), 4);
         assert_eq!(r.counter("events_executed_total"), 2);
@@ -328,5 +434,18 @@ mod tests {
         assert_eq!(r.counter("event_sched/reroute"), 0);
         assert!(r.hist("event_fanout/reroute").is_some());
         assert_eq!(p.series_get("events").unwrap().total_count(), 3);
+    }
+
+    /// A queue pop that is neither executed, stale nor a horizon pop breaks
+    /// the component closure, and `finish` refuses to export it.
+    #[test]
+    #[should_panic(expected = "miss a queue pop")]
+    fn unowned_queue_pop_fails_the_closure() {
+        let mut prof = EngineProf::new(0, 0);
+        let (start, q) = (Event::FlowStart(0), EventQueue::with_capacity(1));
+        prof.on_sched(&start);
+        prof.on_pop(&start, SimTime::from_ns(10), &q, &[]);
+        prof.on_executed(SimTime::from_ns(10), &q);
+        prof.finish(1, 1, 2);
     }
 }

@@ -272,7 +272,6 @@ pub fn account(scheme: &str, wl: &ServeWorkload, res: &SimResult, slo: SimTime) 
 ///
 /// Panics when `res` carries no ledger (the run was compiled or executed
 /// without the `ledger` feature).
-#[cfg(feature = "ledger")]
 pub fn account_spans(
     scheme: &str,
     seed: u64,

@@ -828,14 +828,17 @@ impl TraceEvent {
     /// Decodes one JSONL line produced by [`TraceEvent::to_jsonl`], reading
     /// its keys in the order the encoder writes them.
     ///
-    /// Returns `None` for malformed lines (the inspector reports them
-    /// rather than panicking on a truncated trace).
-    pub fn from_jsonl(line: &str) -> Option<(SimTime, TraceEvent)> {
+    /// # Errors
+    ///
+    /// Returns a diagnostic naming the byte where decoding stopped for a
+    /// malformed line (the inspector reports it rather than panicking on a
+    /// truncated trace).
+    pub fn from_jsonl(line: &str) -> Result<(SimTime, TraceEvent), String> {
         let mut r = LineReader {
             c: json::Cursor::new(line),
             first: true,
         };
-        r.c.expect('{').ok()?;
+        r.c.expect('{')?;
         let t = r.time("t")?;
         let ev = match r.str("ev")?.as_ref() {
             "run_start" => TraceEvent::RunStart {
@@ -893,7 +896,7 @@ impl TraceEvent {
                 port: r.id("port")?,
                 flow: r.id("flow")?,
                 seq: r.num("seq")?,
-                why: DropWhy::parse(&r.str("why")?)?,
+                why: r.tag("why", DropWhy::parse)?,
                 green: r.flag("green")?,
             },
             "tlt_mark" => TraceEvent::TltMark {
@@ -919,16 +922,16 @@ impl TraceEvent {
             },
             "timer_arm" => TraceEvent::TimerArm {
                 flow: r.id("flow")?,
-                kind: TimerId::parse(&r.str("kind")?)?,
+                kind: r.tag("kind", TimerId::parse)?,
                 at: r.time("at")?,
             },
             "timer_cancel" => TraceEvent::TimerCancel {
                 flow: r.id("flow")?,
-                kind: TimerId::parse(&r.str("kind")?)?,
+                kind: r.tag("kind", TimerId::parse)?,
             },
             "timer_fire" => TraceEvent::TimerFire {
                 flow: r.id("flow")?,
-                kind: TimerId::parse(&r.str("kind")?)?,
+                kind: r.tag("kind", TimerId::parse)?,
             },
             "timeout" => TraceEvent::Timeout {
                 flow: r.id("flow")?,
@@ -939,7 +942,7 @@ impl TraceEvent {
                 seq: r.num("seq")?,
             },
             "fault" => TraceEvent::Fault {
-                kind: FaultKind::parse(&r.str("kind")?)?,
+                kind: r.tag("kind", FaultKind::parse)?,
                 node: r.id("node")?,
                 port: r.id("port")?,
             },
@@ -956,16 +959,16 @@ impl TraceEvent {
             "rto_cause" => TraceEvent::RtoForensic {
                 flow: r.id("flow")?,
                 seq: r.num("seq")?,
-                cause: RtoCause::parse(&r.str("cause")?)?,
+                cause: r.tag("cause", RtoCause::parse)?,
                 node: r.id("node")?,
                 port: r.id("port")?,
                 root_at: r.time("root_at")?,
             },
-            _ => return None,
+            other => return Err(r.c.error(&format!("unknown event {other:?}"))),
         };
-        r.c.expect('}').ok()?;
-        r.c.end().ok()?;
-        Some((t, ev))
+        r.c.expect('}')?;
+        r.c.end()?;
+        Ok((t, ev))
     }
 }
 
@@ -1004,35 +1007,44 @@ struct LineReader<'a> {
 
 impl<'a> LineReader<'a> {
     /// Consumes the separator before the next key, then the key `name`.
-    fn key(&mut self, name: &str) -> Option<()> {
+    fn key(&mut self, name: &str) -> Result<(), String> {
         if !std::mem::take(&mut self.first) {
-            self.c.expect(',').ok()?;
+            self.c.expect(',')?;
         }
-        (self.c.string().ok()? == name).then_some(())?;
-        self.c.expect(':').ok()
+        if self.c.string()? != name {
+            return Err(self.c.error(&format!("expected key {name:?}")));
+        }
+        self.c.expect(':')
     }
 
-    fn num(&mut self, name: &str) -> Option<u64> {
+    fn num(&mut self, name: &str) -> Result<u64, String> {
         self.key(name)?;
-        self.c.number().ok()
+        self.c.number()
     }
 
-    fn id(&mut self, name: &str) -> Option<u32> {
-        u32::try_from(self.num(name)?).ok()
+    fn id(&mut self, name: &str) -> Result<u32, String> {
+        let v = self.num(name)?;
+        u32::try_from(v).map_err(|_| self.c.error(&format!("{name} {v} out of range")))
     }
 
-    fn time(&mut self, name: &str) -> Option<SimTime> {
+    fn time(&mut self, name: &str) -> Result<SimTime, String> {
         self.num(name).map(SimTime::from_ns)
     }
 
-    fn str(&mut self, name: &str) -> Option<Cow<'a, str>> {
+    fn str(&mut self, name: &str) -> Result<Cow<'a, str>, String> {
         self.key(name)?;
-        self.c.string().ok()
+        self.c.string()
     }
 
-    fn flag(&mut self, name: &str) -> Option<bool> {
+    fn flag(&mut self, name: &str) -> Result<bool, String> {
         self.key(name)?;
-        self.c.bool().ok()
+        self.c.bool()
+    }
+
+    /// A string field holding one of an enum's wire tags.
+    fn tag<T>(&mut self, name: &str, parse: fn(&str) -> Option<T>) -> Result<T, String> {
+        let v = self.str(name)?;
+        parse(&v).ok_or_else(|| self.c.error(&format!("unknown {name} {v:?}")))
     }
 }
 
@@ -1043,8 +1055,8 @@ pub(crate) mod tests {
     fn roundtrip(ev: TraceEvent) {
         let t = SimTime::from_ns(123_456);
         let line = ev.to_jsonl(t);
-        let (t2, ev2) = TraceEvent::from_jsonl(&line).unwrap_or_else(|| {
-            panic!("failed to parse {line}");
+        let (t2, ev2) = TraceEvent::from_jsonl(&line).unwrap_or_else(|e| {
+            panic!("failed to parse {line}: {e}");
         });
         assert_eq!(t, t2, "time roundtrip for {line}");
         assert_eq!(ev, ev2, "event roundtrip for {line}");
@@ -1205,7 +1217,7 @@ pub(crate) mod tests {
         );
         for bad in [r#"\ud83d"#, r#"\q"#] {
             let line = format!(r#"{{"t":1,"ev":"run_start","label":"{bad}","seed":0}}"#);
-            assert!(TraceEvent::from_jsonl(&line).is_none(), "accepted {line}");
+            assert!(TraceEvent::from_jsonl(&line).is_err(), "accepted {line}");
         }
     }
 
@@ -1293,7 +1305,8 @@ pub(crate) mod tests {
             r#"{"t":1,"ev":"drop","node":1}"#,
             r#"{"t":-3,"ev":"flow_end","flow":0}"#,
         ] {
-            assert!(TraceEvent::from_jsonl(bad).is_none(), "accepted {bad:?}");
+            let err = TraceEvent::from_jsonl(bad).expect_err(bad);
+            assert!(err.contains("byte"), "no position for {bad:?}: {err}");
         }
     }
 }

@@ -317,6 +317,9 @@ pub struct Report {
     pub runs: Vec<RunSummary>,
     /// Lines that failed to parse.
     pub malformed: u64,
+    /// The first malformed line: its 1-based line number in the trace and
+    /// the decoder's diagnostic.
+    pub first_malformed: Option<(usize, String)>,
     /// Events seen outside any `RunStart`..`RunEnd` bracket.
     pub orphans: u64,
 }
@@ -336,7 +339,11 @@ impl Report {
         let mut s = String::new();
         let _ = writeln!(s, "{} run(s) in trace", self.runs.len());
         if self.malformed > 0 {
-            let _ = writeln!(s, "WARNING: {} malformed line(s) skipped", self.malformed);
+            let _ = write!(s, "WARNING: {} malformed line(s) skipped", self.malformed);
+            if let Some((line, why)) = &self.first_malformed {
+                let _ = write!(s, " (first: trace line {line}: {why})");
+            }
+            s.push('\n');
         }
         if self.orphans > 0 {
             let _ = writeln!(
@@ -434,13 +441,17 @@ impl RunBuilder {
 pub fn inspect_str(text: &str) -> Report {
     let mut report = Report::default();
     let mut current: Option<RunBuilder> = None;
-    for line in text.lines() {
+    for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let Some((t, ev)) = TraceEvent::from_jsonl(line) else {
-            report.malformed += 1;
-            continue;
+        let (t, ev) = match TraceEvent::from_jsonl(line) {
+            Ok(decoded) => decoded,
+            Err(why) => {
+                report.malformed += 1;
+                report.first_malformed.get_or_insert((i + 1, why));
+                continue;
+            }
         };
         match ev {
             TraceEvent::RunStart { label, seed } => {
@@ -746,6 +757,16 @@ mod tests {
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let report = inspect_str(&format!("not json\n{text}"));
         assert_eq!(report.malformed, 1);
+        let (line, why) = report.first_malformed.as_ref().expect("diagnostic kept");
+        assert_eq!(*line, 1);
+        assert!(why.contains("byte 0"), "no position in {why:?}");
+        assert!(
+            report
+                .render()
+                .contains("first: trace line 1: expected '{'"),
+            "{}",
+            report.render()
+        );
         assert_eq!(report.orphans, 1);
         assert_eq!(report.runs.len(), 1);
         assert!(report.runs[0].declared.is_none());

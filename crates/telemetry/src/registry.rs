@@ -1052,7 +1052,7 @@ mod tests {
         every_cut_fails(&spans.to_json(), &|t| crate::SpanReport::parse(t).is_ok());
         for ev in crate::event::tests::sample_events() {
             let line = ev.to_jsonl(eventsim::SimTime::from_ns(99));
-            every_cut_fails(&line, &|t| crate::TraceEvent::from_jsonl(t).is_some());
+            every_cut_fails(&line, &|t| crate::TraceEvent::from_jsonl(t).is_ok());
         }
         // Diagnostics carry a position and a reason.
         let err = Registry::parse(&json[..json.len() / 2]).unwrap_err();
